@@ -55,11 +55,11 @@ def series_lines(header: Sequence[str],
 def engine_stats_lines(stats: Optional[object]) -> List[str]:
     """Render a :class:`repro.analysis.engine.EngineStats` block.
 
-    Accepts ``None`` (serial path) so benchmarks can report whatever
-    execution path they actually took.
+    Accepts ``None`` (a ``sweep_p`` point replayed from a journal
+    carries no stats) so benchmarks can report every point.
     """
     if stats is None:
-        return ["engine: serial path (no engine stats)"]
+        return ["engine: replayed from a journal (no engine stats)"]
     return stats.summary_lines()
 
 

@@ -2,12 +2,14 @@
 
 The malignant-pair sweep behind the paper's Sec. 4.2 threshold
 estimate is evaluation-dominated: every sampled pair is a distinct
-two-fault pattern, so memoization barely helps and the serial path
-pays full per-gate Python dispatch per sample.  This bench measures
-the lane-stacked :mod:`repro.simulators.batched` path on exactly that
-workload (plus a no-memoize Monte-Carlo sweep), asserts the >= 2x
-acceptance bar at full scale, re-checks result equality while timing,
-and emits ``results/BENCH_batched.json`` for CI.
+two-fault pattern, so memoization barely helps and one-pattern-at-a-
+time evaluation (``batch_size=1``, labelled "serial" below) pays full
+per-gate Python dispatch per sample.  This bench measures the
+lane-stacked :mod:`repro.simulators.batched` path (the engine default)
+on exactly that workload (plus a no-memoize Monte-Carlo sweep),
+asserts the >= 2x acceptance bar at full scale, re-checks result
+equality while timing, and emits ``results/BENCH_batched.json`` for
+CI.
 
 Scale down with ``BENCH_BATCHED_SAMPLES`` for smoke runs (the speedup
 assertion only applies at full scale).
@@ -56,7 +58,7 @@ def test_batched_speedup(benchmark):
         start = time.perf_counter()
         pairs_serial = run_malignant_pairs(
             gadget, initial, evaluator, samples=SAMPLES, seed=71,
-            locations=locations)
+            locations=locations, batch_size=1)
         timings["pairs_serial"] = time.perf_counter() - start
 
         start = time.perf_counter()
@@ -68,7 +70,7 @@ def test_batched_speedup(benchmark):
         start = time.perf_counter()
         mc_serial = run_monte_carlo(
             gadget, initial, evaluator, noise, trials=mc_trials,
-            seed=72, locations=locations, memoize=False)
+            seed=72, locations=locations, memoize=False, batch_size=1)
         timings["mc_serial"] = time.perf_counter() - start
 
         start = time.perf_counter()

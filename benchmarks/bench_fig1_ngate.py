@@ -102,13 +102,17 @@ def test_fig1_report(benchmark, context):
 
 def test_fig1_unprotected_baseline(benchmark):
     """Contrast: a bare (unencoded) bit copy degrades linearly."""
+    from repro.analysis.engine import run_monte_carlo
     from repro.circuits import Circuit, gates
-    from repro.noise import monte_carlo
-    from repro.simulators import StateVector
+    from repro.ft.gadget import Gadget, Register
+    from repro.simulators import SparseState
 
     circuit = Circuit(2)
     circuit.add_gate(gates.CNOT, 0, 1)
-    clean = StateVector(2)
+    # Both qubits are data, so both inputs count as fault locations.
+    gadget = Gadget("bare-copy", circuit,
+                    {"data": Register("data", (0, 1), role="data")})
+    clean = SparseState(2)
     ps = (3e-3, 1e-2, 3e-2)
 
     def evaluator(state):
@@ -117,9 +121,9 @@ def test_fig1_unprotected_baseline(benchmark):
     def run_experiment():
         rates = []
         for index, p in enumerate(ps):
-            result = monte_carlo(circuit, NoiseModel.uniform(p),
-                                 evaluator, trials=4000,
-                                 seed=20 + index)
+            result = run_monte_carlo(gadget, SparseState(2), evaluator,
+                                     NoiseModel.uniform(p), trials=4000,
+                                     seed=20 + index)
             rates.append(result.failure_rate)
         return rates
 

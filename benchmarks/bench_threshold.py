@@ -14,16 +14,12 @@ every gadget, and runs the design ablations DESIGN.md calls out:
   over-counts.
 """
 
-import os
-import time
-
 import numpy as np
 import pytest
 
 from repro.analysis import (
     GadgetFaultAnalyzer,
     exhaustive_single_faults_sparse,
-    gadget_monte_carlo,
     n_gadget_evaluator,
     sample_malignant_pairs,
     sampled_threshold_report,
@@ -34,17 +30,9 @@ from repro.codes import SteaneCode
 from repro.ft import build_n_gadget, build_recovery_gadget, \
     build_t_gadget, sparse_coset_state
 from repro.ft.ngate import append_n1
-from repro.noise import NoiseModel, count_locations
+from repro.noise import count_locations
 
 from _harness import engine_stats_lines, report, series_lines
-
-#: Default workload for the engine speedup bench; override with
-#: BENCH_ENGINE_TRIALS for CI smoke runs (the >= 2x assertion only
-#: applies at full scale).
-SPEEDUP_TRIALS = int(os.environ.get("BENCH_ENGINE_TRIALS", "6000"))
-SPEEDUP_P = 5e-4
-SPEEDUP_WORKERS = 4
-
 
 def test_threshold_table(benchmark):
     """Location counts, exact single-fault counts and sampled
@@ -96,66 +84,6 @@ def test_threshold_table(benchmark):
         *stats_lines,
     ])
     assert all(row[2] == 0 for row in rows)
-
-
-def test_engine_speedup(benchmark):
-    """Acceptance bench: the parallel engine with memoization beats
-    the serial loop by >= 2x wall-clock on the same seeded workload.
-
-    At low p most non-empty samples are repeated single-fault
-    patterns, so the fault-pattern cache collapses the dominant
-    simulation cost; the worker pool and vectorised strike sampling
-    carry the rest.
-    """
-    code = SteaneCode()
-    gadget = build_n_gadget(code, variant="direct")
-    initial = gadget.initial_state(
-        {"quantum": sparse_coset_state(code, 0)}
-    )
-    evaluator = n_gadget_evaluator(gadget, code, 0)
-    locations = _default_locations(gadget)
-    noise = NoiseModel.uniform(SPEEDUP_P)
-
-    def run_experiment():
-        start = time.perf_counter()
-        serial = gadget_monte_carlo(
-            gadget, initial, evaluator, noise, SPEEDUP_TRIALS,
-            seed=71, locations=locations,
-        )
-        serial_seconds = time.perf_counter() - start
-        start = time.perf_counter()
-        fast = gadget_monte_carlo(
-            gadget, initial, evaluator, noise, SPEEDUP_TRIALS,
-            seed=71, locations=locations,
-            workers=SPEEDUP_WORKERS, memoize=True,
-        )
-        engine_seconds = time.perf_counter() - start
-        return serial, serial_seconds, fast, engine_seconds
-
-    serial, serial_seconds, fast, engine_seconds = benchmark.pedantic(
-        run_experiment, rounds=1, iterations=1
-    )
-    speedup = serial_seconds / engine_seconds
-    stats = fast.engine_stats
-    report("E7 — engine speedup (serial loop vs parallel engine)", [
-        f"workload: {gadget.name}, p={SPEEDUP_P}, "
-        f"trials={SPEEDUP_TRIALS}, {len(locations)} locations",
-        f"serial loop:     {serial_seconds:.2f}s "
-        f"({SPEEDUP_TRIALS / serial_seconds:.0f} trials/s)",
-        f"engine (workers={SPEEDUP_WORKERS}, memoized): "
-        f"{engine_seconds:.2f}s "
-        f"({SPEEDUP_TRIALS / engine_seconds:.0f} trials/s)",
-        f"speedup: {speedup:.2f}x",
-        "",
-        *engine_stats_lines(stats),
-        "",
-        f"failure rates: serial {serial.failure_rate:.2e}, "
-        f"engine {fast.failure_rate:.2e} (distinct RNG streams; both "
-        f"paths are separately seed-stable)",
-    ])
-    assert fast.single_fault_failures == 0
-    if SPEEDUP_TRIALS >= 4000:
-        assert speedup >= 2.0
 
 
 def test_ablation_syndrome_check_bits(benchmark):

@@ -2,11 +2,12 @@
 
 Every O(p^2) curve and threshold estimate in the reproduction is a
 statistical statement over a huge fault-sample space (Shor
-quant-ph/9605011, Preskill quant-ph/9712048), produced until now by
-the strictly serial loops in :mod:`repro.analysis.montecarlo`.  This
-module is the scalable replacement.  It runs the same three workloads
-— stochastic Monte-Carlo trials, exhaustive single-fault enumeration
-and malignant-pair sampling — through a shared three-phase schedule:
+quant-ph/9605011, Preskill quant-ph/9712048).  This module is the one
+route from a fault pattern to a verdict: the samplers of
+:mod:`repro.analysis.montecarlo` and the sequential runners all
+forward here.  It runs three workloads — stochastic Monte-Carlo
+trials, exhaustive single-fault enumeration and malignant-pair
+sampling — through a shared three-phase schedule:
 
 1. **Sample** (parent process, deterministic).  Trials are split into
    fixed-size chunks; chunk ``c`` draws its faults from an RNG seeded
@@ -23,8 +24,12 @@ and malignant-pair sampling — through a shared three-phase schedule:
    never simulate the same pattern twice regardless of scheduling.
 3. **Evaluate** (worker pool).  Only cache-missing patterns are
    simulated, fanned out across a ``multiprocessing`` fork pool in
-   chunks.  Verdicts are independent booleans, so evaluation order
-   cannot affect results.
+   chunks.  Within a chunk, up to ``batch_size`` patterns
+   (:data:`DEFAULT_BATCH_SIZE`) are stacked as lanes of one
+   :class:`~repro.simulators.batched.BatchedState`; ``batch_size=1``
+   is the per-pattern fallback ladder every unbatchable stack
+   degrades to.  Verdicts are independent booleans, bit-identical for
+   every batch size, so evaluation order cannot affect results.
 
 Since PR 3 the evaluate phase runs under the resilience layer of
 :mod:`repro.runtime`:
@@ -86,11 +91,7 @@ from repro.runtime.checkpoint import CheckpointStore, as_store
 from repro.runtime.fallback import FallbackRecord
 from repro.runtime.policy import RuntimePolicy, resolve_policy
 from repro.runtime.supervisor import Supervisor
-from repro.simulators.batched import (
-    BATCHED_PATH,
-    SERIAL_PATH,
-    evaluate_fault_patterns_batched,
-)
+from repro.simulators.batched import evaluate_fault_patterns_batched
 from repro.simulators.sparse import SparseState
 
 #: One concrete fault: (pauli, after_op) exactly as the injector takes it.
@@ -101,6 +102,12 @@ FaultPattern = Tuple[Fault, ...]
 #: Default number of trials sampled per RNG chunk.  Part of the
 #: determinism contract: results depend on (seed, trials, chunk_size).
 DEFAULT_CHUNK_SIZE = 256
+
+#: Default number of distinct patterns stacked into one batched
+#: simulation.  Not part of the determinism contract: verdicts are
+#: bit-identical for every batch size (``1`` evaluates one pattern at a
+#: time through the fallback ladder).
+DEFAULT_BATCH_SIZE = 64
 
 #: Generous default bound on memoised verdicts; far above any shipped
 #: workload, but finite so a runaway campaign cannot OOM the parent.
@@ -201,7 +208,7 @@ def _coerce_workers(value) -> int:
     if value < 1:
         raise AnalysisError(
             f"workers must be >= 1, got {value}; pass workers=None "
-            f"(with parallel=False) for the serial path"
+            f"(with parallel=False) for in-process evaluation"
         )
     return value
 
@@ -255,29 +262,22 @@ def evaluate_fault_pattern(gadget: Gadget, initial_state: SparseState,
 
 
 class FaultPatternCache:
-    """Memoised verdicts keyed by (evaluation path, canonical pattern).
+    """Memoised verdicts keyed by canonical fault pattern.
 
     Verdicts depend only on the fault pattern (the gadget, input state
     and evaluator are fixed per cache), not on the error rate p, so
-    one cache can be shared across an entire p sweep.
-
-    Keys carry the evaluation path (:data:`~repro.simulators.batched.
-    SERIAL_PATH` or :data:`~repro.simulators.batched.BATCHED_PATH`) so
-    a batched run never silently replays a serial-cached verdict — the
-    paths are proved equivalent by the differential suite, but the
-    cache refuses to *assume* it: each path revalidates its own
-    verdicts, keeping a cross-path disagreement observable instead of
-    papered over.  ``get``/``store``/``contains``/``__contains__``
-    default to the serial path, preserving every pre-existing caller.
+    one cache can be shared across an entire p sweep.  Nor do they
+    depend on the batch size that computed them: lane-stacked
+    evaluation is bit-identical to one-at-a-time evaluation (certified
+    by ``tests/simulators/test_batched_equivalence.py``), so the key is
+    the pattern alone.
 
     The cache is LRU-bounded: ``max_entries`` (default generous —
     :data:`DEFAULT_CACHE_MAX_ENTRIES`) caps memory on unbounded
     campaigns, evicting the least-recently-used verdict and counting
-    it in :attr:`evictions`.  The same pattern cached under both paths
-    occupies two entries and ages independently.  Eviction is
-    invisible to correctness — an evicted pattern is simply
-    re-simulated on next request — and surfaces in
-    :class:`EngineStats` so capped runs are diagnosable.
+    it in :attr:`evictions`.  Eviction is invisible to correctness —
+    an evicted pattern is simply re-simulated on next request — and
+    surfaces in :class:`EngineStats` so capped runs are diagnosable.
     ``max_entries=None`` disables the bound.
     """
 
@@ -296,8 +296,7 @@ class FaultPatternCache:
                     f"max_entries must be >= 1, got {max_entries}"
                 )
         self.max_entries = max_entries
-        self._verdicts: "OrderedDict[Tuple[str, FaultPattern], bool]" \
-            = OrderedDict()
+        self._verdicts: "OrderedDict[FaultPattern, bool]" = OrderedDict()
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -306,44 +305,24 @@ class FaultPatternCache:
         return len(self._verdicts)
 
     def __contains__(self, pattern: FaultPattern) -> bool:
-        return (SERIAL_PATH, pattern) in self._verdicts
+        return pattern in self._verdicts
 
-    def contains(self, pattern: FaultPattern,
-                 path: str = SERIAL_PATH) -> bool:
-        return (path, pattern) in self._verdicts
-
-    def get(self, pattern: FaultPattern,
-            path: str = SERIAL_PATH) -> Optional[bool]:
-        key = (path, pattern)
-        verdict = self._verdicts.get(key)
-        if verdict is not None or key in self._verdicts:
-            self._verdicts.move_to_end(key)
+    def get(self, pattern: FaultPattern) -> Optional[bool]:
+        verdict = self._verdicts.get(pattern)
+        if verdict is not None:
+            self._verdicts.move_to_end(pattern)
         return verdict
 
-    def store(self, pattern: FaultPattern, verdict: bool,
-              path: str = SERIAL_PATH) -> None:
-        key = (path, pattern)
-        self._verdicts[key] = bool(verdict)
-        self._verdicts.move_to_end(key)
+    def store(self, pattern: FaultPattern, verdict: bool) -> None:
+        self._verdicts[pattern] = bool(verdict)
+        self._verdicts.move_to_end(pattern)
         if self.max_entries is not None:
             while len(self._verdicts) > self.max_entries:
                 self._verdicts.popitem(last=False)
                 self.evictions += 1
 
     def items(self):
-        """(pattern, verdict) pairs, least-recently-used first.
-
-        Kept path-agnostic for backward compatibility: yields every
-        entry's pattern with its verdict (a pattern cached under both
-        paths appears twice).  Use :meth:`items_with_paths` for the
-        full keys.
-        """
-        return (((pattern, verdict) for (_, pattern), verdict
-                 in self._verdicts.items()))
-
-    def items_with_paths(self):
-        """((path, pattern), verdict) pairs, least-recently-used
-        first."""
+        """(pattern, verdict) pairs, least-recently-used first."""
         return self._verdicts.items()
 
     def clear(self) -> None:
@@ -408,7 +387,7 @@ class EngineStats:
     # -- batched-path accounting (repro.simulators.batched) ---------
     batched_batches: int = 0       # stacked simulations run
     batched_evaluations: int = 0   # verdicts produced by the stack
-    batched_fallbacks: int = 0     # patterns degraded to serial
+    batched_fallbacks: int = 0     # patterns degraded to the ladder
 
     @property
     def cache_hit_rate(self) -> float:
@@ -480,7 +459,8 @@ class EngineStats:
             lines.append(
                 f"  batched: {self.batched_evaluations} verdicts in "
                 f"{self.batched_batches} stacked batches, "
-                f"{self.batched_fallbacks} fell back to serial"
+                f"{self.batched_fallbacks} fell back to the "
+                f"per-pattern ladder"
             )
         incidents = (self.retries or self.hung_chunks
                      or self.worker_errors or self.pool_restarts
@@ -557,18 +537,13 @@ class _EvalContext:
                  invariant: Optional[Callable[[SparseState], None]]
                  = None,
                  policy: Optional[RuntimePolicy] = None,
-                 batch_size: int = 1) -> None:
+                 batch_size: int = DEFAULT_BATCH_SIZE) -> None:
         self.gadget = gadget
         self.initial_state = initial_state
         self.evaluator = evaluator
         self.invariant = invariant
         self.policy = resolve_policy(policy)
         self.batch_size = batch_size
-
-    @property
-    def eval_path(self) -> str:
-        """Cache/fingerprint marker for this context's evaluation path."""
-        return BATCHED_PATH if self.batch_size > 1 else SERIAL_PATH
 
     def evaluate(self, pattern: FaultPattern) -> bool:
         """Plain single-pattern evaluation (no chaos coordinates)."""
@@ -636,13 +611,18 @@ def _evaluate_chunk_batched(context: _EvalContext,
     Patterns are sliced into ``batch_size`` stacks; a stack that the
     batched path cannot handle — register too wide for the lane bits
     (``SimulationError``), out of memory, or an invariant violation
-    that needs the retry-once shield — degrades to the serial
-    per-pattern ladder of :meth:`_EvalContext.evaluate_one`, exactly
-    the rung structure a serial run would use.  Verdict values are
-    unaffected either way (the lanes are bit-identical to serial
-    evolution); only the accounting differs, surfaced through the
-    ``batched_*`` counters of :class:`EngineStats`.
+    that needs the retry-once shield — degrades to the per-pattern
+    ladder of :meth:`_EvalContext.evaluate_one`, exactly the rung
+    structure a ``batch_size=1`` run uses.  The policy's chaos plan is
+    consulted once per stack at the same (chunk, attempt) coordinates
+    as the ladder's primary backend and invariant hook, so injected
+    faults strike the batched path too and degrade the stack the same
+    way.  Verdict values are unaffected either way (the lanes are
+    bit-identical to one-pattern evolution); only the accounting
+    differs, surfaced through the ``batched_*`` counters of
+    :class:`EngineStats`.
     """
+    chaos = context.policy.chaos
     verdicts: List[bool] = []
     batches = 0
     stacked = 0
@@ -650,6 +630,14 @@ def _evaluate_chunk_batched(context: _EvalContext,
     for lo in range(0, len(patterns), context.batch_size):
         stack = patterns[lo:lo + context.batch_size]
         try:
+            if chaos is not None:
+                injected = chaos.primary_backend_error(
+                    index, attempt, in_worker)
+                if injected is None and context.invariant is not None:
+                    injected = chaos.invariant_error(
+                        index, attempt, 0, in_worker)
+                if injected is not None:
+                    raise injected
             stack_verdicts = evaluate_fault_patterns_batched(
                 context.gadget, context.initial_state,
                 context.evaluator, stack, invariant=context.invariant)
@@ -807,24 +795,22 @@ def _resolve_verdicts(context: _EvalContext,
     stats.requests += requests
     stats.distinct_patterns += len(pattern_counts)
     verdict_map: Dict[FaultPattern, bool] = {}
-    path = context.eval_path
     if memoize:
         evictions_before = cache.evictions if cache is not None else 0
-        missing = [pattern for pattern in pattern_counts
-                   if cache is None or not cache.contains(pattern,
-                                                          path)]
-        if cache is not None:
-            for pattern in pattern_counts:
-                if cache.contains(pattern, path):
-                    verdict_map[pattern] = bool(
-                        cache.get(pattern, path))
+        missing: List[FaultPattern] = []
+        for pattern in pattern_counts:
+            verdict = cache.get(pattern) if cache is not None else None
+            if verdict is None:
+                missing.append(pattern)
+            else:
+                verdict_map[pattern] = verdict
         verdicts = _evaluate_patterns(context, missing, workers,
                                       chunk_size, stats, progress,
                                       journal=journal)
         for pattern, verdict in zip(missing, verdicts):
             verdict_map[pattern] = verdict
             if cache is not None:
-                cache.store(pattern, verdict, path)
+                cache.store(pattern, verdict)
         stats.evaluations += len(missing)
         stats.cache_hits += requests - len(missing)
         if cache is not None:
@@ -850,9 +836,9 @@ def _location_setup(noise: Optional[NoiseModel], gadget: Gadget,
                                List[int]]:
     """Precompute per-location strike probabilities and fault choices.
 
-    The serial loops recompute ``fault_choices`` (a ``pauli_basis``
-    walk) for every struck location of every trial; doing it once per
-    run is a measurable win on its own.
+    ``fault_choices`` is a ``pauli_basis`` walk; doing it once per
+    run rather than per struck location per trial is a measurable win
+    on its own.
     """
     model = noise if noise is not None else NoiseModel.uniform(1.0)
     probs = np.array([model.probability_for(loc) for loc in locations],
@@ -995,7 +981,6 @@ def _open_journal(checkpoint, resume: bool, seed: Optional[int],
                   fingerprint: Dict[str, object],
                   stats: EngineStats,
                   needs_seed: bool = True,
-                  eval_path: str = SERIAL_PATH,
                   ) -> Tuple[Optional[CheckpointStore],
                              Optional[FaultPatternCache]]:
     """Shared ``checkpoint=``/``resume=`` handling for the run_* entry
@@ -1005,12 +990,9 @@ def _open_journal(checkpoint, resume: bool, seed: Optional[int],
     checkpointing requires a cache, so one is created when the caller
     did not supply one.  On resume the journal's verdicts are
     replayed into the cache after the fingerprint check; on a fresh
-    run the directory is cleared and a new header written.
-
-    ``eval_path`` routes replayed verdicts to the run's own cache
-    path.  The fingerprint already refuses cross-path resumes (the
-    caller stamps ``eval_path`` into it for batched runs), so a
-    journal's verdicts always re-enter the path that produced them.
+    run the directory is cleared and a new header written.  Verdicts
+    replay whatever batch size wrote them: the fingerprint carries no
+    batch size, because lanes are bit-identical to one-pattern runs.
     """
     store = as_store(checkpoint)
     if store is None:
@@ -1028,10 +1010,17 @@ def _open_journal(checkpoint, resume: bool, seed: Optional[int],
     if cache is None:
         cache = FaultPatternCache()
     if resume and store.exists():
+        # Journals written before lane stacking became the default
+        # stamp batched runs with an ``eval_path`` marker that never
+        # changed a verdict; accept whatever value they recorded.
+        recorded = store.load_header().get("fingerprint") or {}
+        if "eval_path" in recorded:
+            fingerprint = dict(fingerprint,
+                               eval_path=recorded["eval_path"])
         store.check_fingerprint(fingerprint)
         entries = store.load_verdicts()
         for pattern, verdict in entries:
-            cache.store(pattern, verdict, eval_path)
+            cache.store(pattern, verdict)
         stats.resumed_verdicts = len(entries)
     else:
         store.clear()
@@ -1077,7 +1066,7 @@ def run_monte_carlo(gadget: Gadget,
                     seed: Optional[int] = None,
                     workers: int = 1,
                     chunk_size: int = DEFAULT_CHUNK_SIZE,
-                    batch_size: int = 1,
+                    batch_size: int = DEFAULT_BATCH_SIZE,
                     memoize: bool = True,
                     cache: Optional[FaultPatternCache] = None,
                     progress: Optional[Callable[[ProgressEvent], None]]
@@ -1088,23 +1077,23 @@ def run_monte_carlo(gadget: Gadget,
                     resume: bool = True,
                     runtime: Optional[RuntimePolicy] = None,
                     optimize=False):
-    """Engine-scheduled equivalent of ``gadget_monte_carlo``.
+    """Stochastic Monte-Carlo failure estimate for one (gadget, p).
 
     Returns a :class:`~repro.analysis.montecarlo.GadgetMonteCarloResult`
     with ``engine_stats`` attached.  For a fixed ``(seed, trials,
     chunk_size)`` the result is bit-identical for every ``workers``
     value, every ``batch_size`` and for ``memoize`` on or off.
 
-    ``batch_size > 1`` routes evaluation through the vectorised
-    :mod:`repro.simulators.batched` path: up to ``batch_size`` distinct
-    patterns are stacked into one sparse register and advanced
-    together, with per-lane amplitudes bit-identical to serial
-    evolution.  Sampling, dedup, seeds and verdicts are unchanged; an
-    unbatchable stack degrades automatically to the serial
+    ``batch_size`` (default :data:`DEFAULT_BATCH_SIZE`) is how many
+    distinct patterns the vectorised :mod:`repro.simulators.batched`
+    path stacks into one sparse register and advances together, with
+    per-lane amplitudes bit-identical to one-pattern evolution.
+    Sampling, dedup, seeds, verdicts and checkpoint fingerprints do
+    not depend on it, so a journal resumes under any batch size.  An
+    unbatchable stack degrades automatically to the per-pattern
     :class:`~repro.runtime.FallbackPolicy` ladder (counted in
-    ``engine_stats.batched_fallbacks``).  Checkpoint fingerprints gain
-    an ``eval_path`` marker for batched runs, so a journal written by
-    one path refuses to silently resume under the other.
+    ``engine_stats.batched_fallbacks``); ``batch_size=1`` runs that
+    ladder for every pattern.
 
     ``invariant`` enables validation mode: every fresh simulation's
     final state is passed to the callable, which raises
@@ -1128,7 +1117,7 @@ def run_monte_carlo(gadget: Gadget,
     Incompatible with explicit ``locations=``.  Checkpoint
     fingerprints gain an ``optimizer`` marker (the pipeline identity),
     so an optimized journal refuses to resume an unoptimized run and
-    vice versa — mirroring the ``eval_path`` marker.
+    vice versa.
     """
     from repro.analysis.montecarlo import (
         GadgetMonteCarloResult,
@@ -1170,19 +1159,13 @@ def run_monte_carlo(gadget: Gadget,
         # fingerprints stay exactly as before so existing journals
         # keep resuming.
         fingerprint["model"] = repr(noise.fingerprint())
-    if batch_size > 1:
-        # Serial fingerprints stay byte-identical to before (existing
-        # journals keep resuming); batched runs are marked so a
-        # journal never silently swaps evaluation paths.
-        fingerprint["eval_path"] = BATCHED_PATH
     if optimizer_marker is not None:
-        # Same contract as eval_path: unoptimized fingerprints stay
-        # byte-identical, optimized journals can never silently mix
-        # with unoptimized ones (the location sets differ).
+        # Unoptimized fingerprints stay byte-identical; optimized
+        # journals can never silently mix with unoptimized ones (the
+        # location sets differ).
         fingerprint["optimizer"] = optimizer_marker
     store, cache = _open_journal(
-        checkpoint, resume, seed, memoize, cache, fingerprint, stats,
-        eval_path=BATCHED_PATH if batch_size > 1 else SERIAL_PATH)
+        checkpoint, resume, seed, memoize, cache, fingerprint, stats)
     probs, choices, after_ops = _location_setup(noise, gadget, locations)
 
     histogram: Dict[int, int] = {}
@@ -1265,7 +1248,7 @@ def run_malignant_pairs(gadget: Gadget,
                         channel: str = "depolarizing",
                         workers: int = 1,
                         chunk_size: int = DEFAULT_CHUNK_SIZE,
-                        batch_size: int = 1,
+                        batch_size: int = DEFAULT_BATCH_SIZE,
                         memoize: bool = True,
                         cache: Optional[FaultPatternCache] = None,
                         progress: Optional[Callable[[ProgressEvent], None]]
@@ -1276,13 +1259,13 @@ def run_malignant_pairs(gadget: Gadget,
                         resume: bool = True,
                         runtime: Optional[RuntimePolicy] = None,
                         optimize=False):
-    """Engine-scheduled equivalent of ``sample_malignant_pairs``.
+    """Sampled estimate of the Sec. 4.2 malignant-pair count.
 
     ``invariant``, ``checkpoint``/``resume``, ``runtime``,
     ``batch_size`` and ``optimize`` behave as in
     :func:`run_monte_carlo`.  Pair patterns are mostly distinct, so
     this workload is evaluation-dominated and gains the most from
-    ``batch_size > 1``.
+    lane stacking.
     """
     from repro.analysis.montecarlo import (
         MalignantPairSample,
@@ -1313,13 +1296,10 @@ def run_malignant_pairs(gadget: Gadget,
         "chunk_size": chunk_size,
         "channel": channel,
     }
-    if batch_size > 1:
-        fingerprint["eval_path"] = BATCHED_PATH
     if optimizer_marker is not None:
         fingerprint["optimizer"] = optimizer_marker
     store, cache = _open_journal(
-        checkpoint, resume, seed, memoize, cache, fingerprint, stats,
-        eval_path=BATCHED_PATH if batch_size > 1 else SERIAL_PATH)
+        checkpoint, resume, seed, memoize, cache, fingerprint, stats)
     model = NoiseModel.uniform(1.0, channel=channel)
     _, choices, after_ops = _location_setup(model, gadget, locations)
 
@@ -1384,7 +1364,7 @@ def run_exhaustive(gadget: Gadget,
                    channel: str = "depolarizing",
                    workers: int = 1,
                    chunk_size: int = DEFAULT_CHUNK_SIZE,
-                   batch_size: int = 1,
+                   batch_size: int = DEFAULT_BATCH_SIZE,
                    memoize: bool = True,
                    cache: Optional[FaultPatternCache] = None,
                    progress: Optional[Callable[[ProgressEvent], None]]
@@ -1397,8 +1377,8 @@ def run_exhaustive(gadget: Gadget,
                    optimize=False) -> ExhaustiveSurvey:
     """Engine-scheduled exhaustive single-fault certification.
 
-    The failure list preserves the serial (location, pauli) order, so
-    it is interchangeable with ``exhaustive_single_faults_sparse``.
+    The failure list is in (location, pauli) enumeration order;
+    ``exhaustive_single_faults_sparse`` returns exactly this list.
     Memoization deduplicates coincident faults (e.g. a delay fault
     anchored at the same ``after_op`` as an equal gate-location Pauli).
     ``checkpoint``/``resume``, ``runtime`` and ``optimize`` behave as
@@ -1432,14 +1412,11 @@ def run_exhaustive(gadget: Gadget,
         "chunk_size": chunk_size,
         "channel": channel,
     }
-    if batch_size > 1:
-        fingerprint["eval_path"] = BATCHED_PATH
     if optimizer_marker is not None:
         fingerprint["optimizer"] = optimizer_marker
     store, cache = _open_journal(
         checkpoint, resume, None, memoize, cache, fingerprint, stats,
-        needs_seed=False,
-        eval_path=BATCHED_PATH if batch_size > 1 else SERIAL_PATH)
+        needs_seed=False)
     pattern_counts: Dict[FaultPattern, int] = {}
     for _, _, key in items:
         pattern_counts[key] = pattern_counts.get(key, 0) + 1

@@ -9,18 +9,16 @@ a caller-supplied evaluator (typically
 ideal output).  These are the data behind every O(p^2) curve in the
 benchmark suite.
 
-Each sampler here has two execution paths:
-
-* the original **serial** loop (the default), byte-compatible with
-  historical seeded results; and
-* the **engine** path (:mod:`repro.analysis.engine`), selected by
-  passing ``parallel=True`` or any engine option (``workers=``,
-  ``chunk_size=``, ``memoize=``, ``cache=``, ``progress=``).  The
-  engine chunks trials over per-chunk ``SeedSequence.spawn`` streams
-  (bit-identical results for any worker count) and memoises verdicts
-  by canonical fault pattern.  Its RNG stream intentionally differs
-  from the serial loop's, so a seeded serial run and a seeded engine
-  run are each self-consistent but not equal to one another.
+The samplers here are thin wrappers over :mod:`repro.analysis.engine`
+(:func:`~repro.analysis.engine.run_monte_carlo`,
+:func:`~repro.analysis.engine.run_exhaustive` and
+:func:`~repro.analysis.engine.run_malignant_pairs`), the one route
+from a fault pattern to a verdict.  They keep the ``parallel=`` /
+``workers=`` / ``chunk_size=`` / ``memoize=`` keywords and evaluate
+with the engine's default lane-stack width
+(:data:`~repro.analysis.engine.DEFAULT_BATCH_SIZE`).  Seeded runs draw
+from the engine's chunked ``SeedSequence.spawn`` streams, so results
+are bit-identical for any worker count and any batch size.
 """
 
 from __future__ import annotations
@@ -36,9 +34,7 @@ from typing import (
     TYPE_CHECKING,
 )
 
-import numpy as np
-
-from repro.ft.gadget import Gadget, apply_circuit_with_faults
+from repro.ft.gadget import Gadget
 from repro.noise.locations import FaultLocation
 from repro.noise.model import NoiseModel
 from repro.simulators.sparse import SparseState
@@ -55,9 +51,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 class GadgetMonteCarloResult:
     """Sampled failure statistics for one (gadget, p) point.
 
-    ``engine_stats`` (engine path only) carries cache and scheduling
-    instrumentation; it is excluded from equality so serial/parallel
-    equivalence can be asserted on the statistical payload alone.
+    ``engine_stats`` carries cache and scheduling instrumentation
+    (``None`` for a sweep point replayed from a journal); it is
+    excluded from equality so equivalence across worker counts and
+    batch sizes can be asserted on the statistical payload alone.
     """
 
     p: float
@@ -117,13 +114,17 @@ class GadgetMonteCarloResult:
         return self.failures_by_fault_count.get(1, 0)
 
 
-def _engine_requested(parallel: bool, workers, chunk_size, memoize,
-                      cache, progress, checkpoint=None,
-                      runtime=None) -> bool:
-    return (parallel or workers is not None or chunk_size is not None
-            or memoize is not None or cache is not None
-            or progress is not None or checkpoint is not None
-            or runtime is not None)
+def _engine_options(parallel: bool, workers: Optional[int],
+                    chunk_size: Optional[int],
+                    memoize: Optional[bool]) -> Dict[str, object]:
+    """Resolve the wrappers' optional knobs to engine arguments."""
+    from repro.analysis import engine
+
+    return {
+        "workers": engine.resolve_workers(parallel, workers),
+        "chunk_size": chunk_size or engine.DEFAULT_CHUNK_SIZE,
+        "memoize": True if memoize is None else memoize,
+    }
 
 
 def gadget_monte_carlo(gadget: Gadget,
@@ -160,65 +161,34 @@ def gadget_monte_carlo(gadget: Gadget,
             p sweep).
         seed: RNG seed.  ``None`` draws fresh OS entropy, making the
             run non-reproducible.
-        parallel: opt into the engine path with ``os.cpu_count()``
-            workers (unless ``workers`` says otherwise).
+        parallel: use ``os.cpu_count()`` workers (unless ``workers``
+            says otherwise).
         workers: engine worker-pool size; results are bit-identical
             for every value (chunked ``SeedSequence.spawn`` streams).
-        chunk_size: trials sampled per RNG chunk (engine path; part of
-            the determinism contract together with ``seed``/``trials``).
+        chunk_size: trials sampled per RNG chunk (part of the
+            determinism contract together with ``seed``/``trials``).
         memoize: reuse verdicts of repeated canonical fault patterns
-            (engine path; default on).
+            (default on).
         cache: a shared :class:`~repro.analysis.engine.
             FaultPatternCache` to persist verdicts across calls.
         progress: per-chunk :class:`~repro.analysis.engine.
-            ProgressEvent` callback (engine path).
+            ProgressEvent` callback.
         checkpoint: run directory (or
             :class:`~repro.runtime.CheckpointStore`) journaling
-            completed evaluation chunks; selects the engine path.
+            completed evaluation chunks.
         resume: replay a matching existing journal before evaluating
             (default); ``False`` starts the journal over.
         runtime: a :class:`~repro.runtime.RuntimePolicy` tuning
-            supervision/fallback; selects the engine path.
+            supervision/fallback.
     """
-    if _engine_requested(parallel, workers, chunk_size, memoize, cache,
-                         progress, checkpoint, runtime):
-        from repro.analysis import engine
+    from repro.analysis import engine
 
-        return engine.run_monte_carlo(
-            gadget, initial_state, evaluator, noise, trials,
-            locations=locations, seed=seed,
-            workers=engine.resolve_workers(parallel, workers),
-            chunk_size=chunk_size or engine.DEFAULT_CHUNK_SIZE,
-            memoize=True if memoize is None else memoize,
-            cache=cache, progress=progress, checkpoint=checkpoint,
-            resume=resume, runtime=runtime,
-        )
-    rng = np.random.default_rng(seed)
-    if locations is None:
-        locations = _default_locations(gadget)
-    failures = 0
-    failures_by_count: Dict[int, int] = {}
-    histogram: Dict[int, int] = {}
-    for _ in range(trials):
-        sampled = noise.sample_faults(gadget.circuit, rng, locations)
-        count = len(sampled)
-        histogram[count] = histogram.get(count, 0) + 1
-        if count == 0:
-            continue
-        state = initial_state.copy()
-        apply_circuit_with_faults(
-            state, gadget.circuit,
-            [(fault.pauli, fault.after_op) for fault in sampled],
-        )
-        if not evaluator(state):
-            failures += 1
-            failures_by_count[count] = failures_by_count.get(count, 0) + 1
-    return GadgetMonteCarloResult(
-        p=noise.p_gate,
-        trials=trials,
-        failures=failures,
-        failures_by_fault_count=failures_by_count,
-        fault_count_histogram=histogram,
+    return engine.run_monte_carlo(
+        gadget, initial_state, evaluator, noise, trials,
+        locations=locations, seed=seed,
+        **_engine_options(parallel, workers, chunk_size, memoize),
+        cache=cache, progress=progress, checkpoint=checkpoint,
+        resume=resume, runtime=runtime,
     )
 
 
@@ -264,32 +234,16 @@ def exhaustive_single_faults_sparse(
     :func:`repro.analysis.engine.run_exhaustive` directly to also get
     the :class:`~repro.analysis.engine.EngineStats`.
     """
-    if _engine_requested(parallel, workers, chunk_size, memoize, cache,
-                         progress, checkpoint, runtime):
-        from repro.analysis import engine
+    from repro.analysis import engine
 
-        survey = engine.run_exhaustive(
-            gadget, initial_state, evaluator, locations=locations,
-            channel=channel,
-            workers=engine.resolve_workers(parallel, workers),
-            chunk_size=chunk_size or engine.DEFAULT_CHUNK_SIZE,
-            memoize=True if memoize is None else memoize,
-            cache=cache, progress=progress, checkpoint=checkpoint,
-            resume=resume, runtime=runtime,
-        )
-        return survey.failures
-    if locations is None:
-        locations = _default_locations(gadget)
-    model = NoiseModel.uniform(1.0, channel=channel)
-    failures: List[Tuple[FaultLocation, object]] = []
-    for location in locations:
-        for pauli in model.fault_choices(location, gadget.num_qubits):
-            state = initial_state.copy()
-            apply_circuit_with_faults(state, gadget.circuit,
-                                      [(pauli, location.after_op)])
-            if not evaluator(state):
-                failures.append((location, pauli))
-    return failures
+    survey = engine.run_exhaustive(
+        gadget, initial_state, evaluator, locations=locations,
+        channel=channel,
+        **_engine_options(parallel, workers, chunk_size, memoize),
+        cache=cache, progress=progress, checkpoint=checkpoint,
+        resume=resume, runtime=runtime,
+    )
+    return survey.failures
 
 
 @dataclass
@@ -383,41 +337,15 @@ def sample_malignant_pairs(gadget: Gadget,
     knob as the other samplers); engine options behave as in
     :func:`gadget_monte_carlo`.
     """
-    if _engine_requested(parallel, workers, chunk_size, memoize, cache,
-                         progress, checkpoint, runtime):
-        from repro.analysis import engine
+    from repro.analysis import engine
 
-        return engine.run_malignant_pairs(
-            gadget, initial_state, evaluator, samples,
-            locations=locations, seed=seed, channel=channel,
-            workers=engine.resolve_workers(parallel, workers),
-            chunk_size=chunk_size or engine.DEFAULT_CHUNK_SIZE,
-            memoize=True if memoize is None else memoize,
-            cache=cache, progress=progress, checkpoint=checkpoint,
-            resume=resume, runtime=runtime,
-        )
-    rng = np.random.default_rng(seed)
-    if locations is None:
-        locations = _default_locations(gadget)
-    model = NoiseModel.uniform(1.0, channel=channel)
-    malignant = 0
-    count = len(locations)
-    for _ in range(samples):
-        i = int(rng.integers(0, count))
-        j = int(rng.integers(0, count - 1))
-        if j >= i:
-            j += 1
-        faults = []
-        for location in (locations[i], locations[j]):
-            choices = model.fault_choices(location, gadget.num_qubits)
-            pauli = choices[int(rng.integers(0, len(choices)))]
-            faults.append((pauli, location.after_op))
-        state = initial_state.copy()
-        apply_circuit_with_faults(state, gadget.circuit, faults)
-        if not evaluator(state):
-            malignant += 1
-    return MalignantPairSample(samples=samples, malignant=malignant,
-                               num_locations=count)
+    return engine.run_malignant_pairs(
+        gadget, initial_state, evaluator, samples,
+        locations=locations, seed=seed, channel=channel,
+        **_engine_options(parallel, workers, chunk_size, memoize),
+        cache=cache, progress=progress, checkpoint=checkpoint,
+        resume=resume, runtime=runtime,
+    )
 
 
 def _point_payload(result: GadgetMonteCarloResult) -> Dict[str, object]:
@@ -482,10 +410,11 @@ def sweep_p(gadget: Gadget,
     figures.
 
     ``channel`` and the engine options are threaded through to every
-    underlying :func:`gadget_monte_carlo` call.  On the engine path a
-    single :class:`~repro.analysis.engine.FaultPatternCache` is shared
-    across all points (verdicts depend only on the fault pattern, not
-    on p), so later points mostly reuse earlier simulations.
+    underlying :func:`gadget_monte_carlo` call.  Unless ``memoize`` is
+    off, a single :class:`~repro.analysis.engine.FaultPatternCache` is
+    shared across all points (verdicts depend only on the fault
+    pattern, not on p), so later points mostly reuse earlier
+    simulations.
 
     ``checkpoint`` makes the sweep resumable at two granularities:
     completed points are journaled whole (``points`` records under the
@@ -498,13 +427,9 @@ def sweep_p(gadget: Gadget,
     process; the statistics did not).  Requires a seed and memoization,
     like the per-run journals.
     """
-    engine_requested = _engine_requested(parallel, workers, chunk_size,
-                                         memoize, cache, progress,
-                                         checkpoint, runtime)
     if locations is None:
         locations = _default_locations(gadget)
-    if engine_requested and cache is None and \
-            (memoize is None or memoize):
+    if cache is None and (memoize is None or memoize):
         from repro.analysis.engine import FaultPatternCache
 
         cache = FaultPatternCache()
@@ -552,22 +477,16 @@ def sweep_p(gadget: Gadget,
             continue
         noise = NoiseModel.uniform(p, channel=channel)
         point_seed = None if seed is None else seed + index
-        if engine_requested:
-            point_store = store.substore(f"point-{index:03d}") \
-                if store is not None else None
-            result = gadget_monte_carlo(
-                gadget, initial_state, evaluator, noise, trials,
-                locations=locations, seed=point_seed,
-                parallel=parallel, workers=workers,
-                chunk_size=chunk_size, memoize=memoize, cache=cache,
-                progress=progress, checkpoint=point_store,
-                resume=resume, runtime=runtime,
-            )
-        else:
-            result = gadget_monte_carlo(
-                gadget, initial_state, evaluator, noise, trials,
-                locations=locations, seed=point_seed,
-            )
+        point_store = store.substore(f"point-{index:03d}") \
+            if store is not None else None
+        result = gadget_monte_carlo(
+            gadget, initial_state, evaluator, noise, trials,
+            locations=locations, seed=point_seed,
+            parallel=parallel, workers=workers,
+            chunk_size=chunk_size, memoize=memoize, cache=cache,
+            progress=progress, checkpoint=point_store,
+            resume=resume, runtime=runtime,
+        )
         if store is not None:
             store.append_record("points", {
                 "index": index,

@@ -60,9 +60,8 @@ from repro.runtime.policy import RuntimePolicy
 from repro.simulators.sparse import SparseState
 
 from repro.analysis.engine import (
-    BATCHED_PATH,
+    DEFAULT_BATCH_SIZE,
     DEFAULT_CHUNK_SIZE,
-    SERIAL_PATH,
     EngineStats,
     FaultPattern,
     FaultPatternCache,
@@ -154,7 +153,7 @@ def run_sequential_monte_carlo(
         claim: Optional[str] = None,
         locations: Optional[Sequence[FaultLocation]] = None,
         workers: int = 1,
-        eval_batch_size: int = 1,
+        eval_batch_size: int = DEFAULT_BATCH_SIZE,
         prefetch: bool = False,
         memoize: bool = True,
         cache: Optional[FaultPatternCache] = None,
@@ -187,13 +186,14 @@ def run_sequential_monte_carlo(
     a killed run resumed from the journal reaches the identical
     verdict, trial count and fault stream as an uninterrupted one.
 
-    ``eval_batch_size > 1`` evaluates each batch's distinct patterns
-    through the vectorised :mod:`repro.simulators.batched` stack
-    (named to avoid colliding with ``batch_size``, which here is the
-    *sampling* chunk size and part of the seed contract).  Verdicts,
-    SPRT decisions and journals are bit-identical either way; batched
-    journals carry an ``eval_path`` fingerprint marker so a resume
-    never silently swaps paths.
+    ``eval_batch_size`` (default
+    :data:`~repro.analysis.engine.DEFAULT_BATCH_SIZE`) is how many of
+    each batch's distinct patterns the vectorised
+    :mod:`repro.simulators.batched` stack evaluates at once (named to
+    avoid colliding with ``batch_size``, which here is the *sampling*
+    chunk size and part of the seed contract).  Verdicts, SPRT
+    decisions and journals are bit-identical for every value, so a
+    journal resumes under any ``eval_batch_size``.
 
     ``prefetch=True`` pipelines batch ``b+1``'s fault sampling on a
     helper thread while batch ``b`` evaluates — safe because chunk
@@ -255,17 +255,13 @@ def run_sequential_monte_carlo(
     }
     if noise.structured:
         fingerprint["model"] = repr(noise.fingerprint())
-    if eval_batch_size > 1:
-        fingerprint["eval_path"] = BATCHED_PATH
     if not memoize and checkpoint is not None:
         raise AnalysisError(
             "checkpointing requires memoize=True (the journal replays "
             "verdicts through the fault-pattern cache)"
         )
-    eval_path = BATCHED_PATH if eval_batch_size > 1 else SERIAL_PATH
     store, cache = _open_journal(checkpoint, resume, seed, memoize,
-                                 cache, fingerprint, stats,
-                                 eval_path=eval_path)
+                                 cache, fingerprint, stats)
     probs, choices, after_ops = _location_setup(noise, gadget,
                                                 locations)
     stream_key = noise.stream_key()
@@ -435,7 +431,7 @@ def run_sequential_pair_sampling(
         locations: Optional[Sequence[FaultLocation]] = None,
         channel: str = "depolarizing",
         workers: int = 1,
-        eval_batch_size: int = 1,
+        eval_batch_size: int = DEFAULT_BATCH_SIZE,
         prefetch: bool = False,
         memoize: bool = True,
         cache: Optional[FaultPatternCache] = None,
@@ -494,12 +490,8 @@ def run_sequential_pair_sampling(
         "method": method,
         "channel": channel,
     }
-    if eval_batch_size > 1:
-        fingerprint["eval_path"] = BATCHED_PATH
-    eval_path = BATCHED_PATH if eval_batch_size > 1 else SERIAL_PATH
     store, cache = _open_journal(checkpoint, resume, seed, memoize,
-                                 cache, fingerprint, stats,
-                                 eval_path=eval_path)
+                                 cache, fingerprint, stats)
     model = NoiseModel.uniform(1.0, channel=channel)
     _, choices, after_ops = _location_setup(model, gadget, locations)
     context = _EvalContext(gadget, initial_state, evaluator,
@@ -683,7 +675,7 @@ def adaptive_sweep_p(gadget: Gadget,
                      channel: str = "depolarizing",
                      locations: Optional[Sequence[FaultLocation]] = None,
                      workers: int = 1,
-                     eval_batch_size: int = 1,
+                     eval_batch_size: int = DEFAULT_BATCH_SIZE,
                      memoize: bool = True,
                      cache: Optional[FaultPatternCache] = None,
                      invariant: Optional[
@@ -716,10 +708,11 @@ def adaptive_sweep_p(gadget: Gadget,
     counts, so a killed sweep resumes into the identical allocation
     sequence and final series.
 
-    ``eval_batch_size > 1`` routes evaluation through the vectorised
-    batched simulator (results unchanged).  There is no ``prefetch``
-    here: which point samples next depends on the batch that is still
-    evaluating, so sampling cannot run ahead of the allocator.
+    ``eval_batch_size`` sets the lane-stack width of the vectorised
+    batched simulator (results unchanged for every value).  There is
+    no ``prefetch`` here: which point samples next depends on the
+    batch that is still evaluating, so sampling cannot run ahead of
+    the allocator.
     """
     start = time.perf_counter()
     if seed is None:
@@ -766,12 +759,8 @@ def adaptive_sweep_p(gadget: Gadget,
         "boundary": None if boundary is None else float(boundary),
         "channel": channel,
     }
-    if eval_batch_size > 1:
-        fingerprint["eval_path"] = BATCHED_PATH
-    eval_path = BATCHED_PATH if eval_batch_size > 1 else SERIAL_PATH
     store, cache = _open_journal(checkpoint, resume, seed, memoize,
-                                 cache, fingerprint, stats,
-                                 eval_path=eval_path)
+                                 cache, fingerprint, stats)
     if cache is None and memoize:
         cache = FaultPatternCache()
     context = _EvalContext(gadget, initial_state, evaluator,

@@ -1,12 +1,6 @@
-"""Noise models, fault locations and fault injection."""
+"""Noise models, fault locations and coherent-noise composition."""
 
-from repro.noise.injection import (
-    MonteCarloResult,
-    exhaustive_single_faults,
-    monte_carlo,
-    run_with_coherent_noise,
-    run_with_faults,
-)
+from repro.noise.injection import run_with_coherent_noise
 from repro.noise.locations import (
     FaultLocation,
     burst_locations,
@@ -43,7 +37,6 @@ __all__ = [
     "CrosstalkModel",
     "DriftingRateModel",
     "FaultLocation",
-    "MonteCarloResult",
     "NoiseModel",
     "RateSchedule",
     "SampledFault",
@@ -55,9 +48,6 @@ __all__ = [
     "count_locations",
     "crosstalk_locations",
     "enumerate_locations",
-    "exhaustive_single_faults",
-    "monte_carlo",
     "register_channel",
     "run_with_coherent_noise",
-    "run_with_faults",
 ]

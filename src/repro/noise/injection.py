@@ -1,96 +1,21 @@
-"""Fault injection into state-vector simulations.
+"""Exact composition of coherent (non-Pauli) noise into a circuit run.
 
-Executes a (measurement-free) circuit while inserting Pauli faults at
-chosen points — either an explicit fault list (for exhaustive
-single-fault and fault-pair sweeps) or faults sampled from a
-:class:`~repro.noise.model.NoiseModel` (for Monte-Carlo logical error
-rate estimates: the O(p^2) curves of the benchmark suite).
+Stochastic Pauli faults go through :mod:`repro.analysis.engine`, which
+samples them from a :class:`~repro.noise.model.NoiseModel` and
+simulates each pattern on the sparse backend.  Coherent
+over-rotations have no stochastic Pauli unravelling, so they cannot be
+sampled; :func:`run_with_coherent_noise` composes them exactly into a
+state-vector run instead.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.circuits.circuit import Circuit, GateOp
 from repro.circuits.pauli import PauliString
 from repro.exceptions import SimulationError
-from repro.noise.locations import FaultLocation, enumerate_locations
-from repro.noise.model import NoiseModel, SampledFault
 from repro.simulators.statevector import StateVector
-
-
-def run_with_faults(circuit: Circuit,
-                    faults: Sequence[Tuple[PauliString, int]],
-                    initial_state: Optional[StateVector] = None
-                    ) -> StateVector:
-    """Run a unitary circuit with Pauli faults inserted.
-
-    Args:
-        circuit: measurement-free circuit.
-        faults: (pauli, after_op) pairs; after_op = -1 injects before
-            the first operation.  Multiple faults at one point compose.
-        initial_state: starting state (default |0...0>).
-
-    Returns:
-        The corrupted output state.
-    """
-    if initial_state is None:
-        state = StateVector(circuit.num_qubits)
-    else:
-        state = initial_state.copy()
-        if state.num_qubits != circuit.num_qubits:
-            raise SimulationError("initial state size mismatch")
-    by_point: Dict[int, List[PauliString]] = {}
-    for pauli, after_op in faults:
-        by_point.setdefault(after_op, []).append(pauli)
-    for pauli in by_point.get(-1, []):
-        state.apply_pauli(pauli)
-    for index, op in enumerate(circuit.operations):
-        if not isinstance(op, GateOp) or op.condition is not None:
-            raise SimulationError(
-                "run_with_faults requires an unconditional unitary circuit"
-            )
-        state.apply_gate(op.gate, op.qubits)
-        for pauli in by_point.get(index, []):
-            state.apply_pauli(pauli)
-    return state
-
-
-@dataclass
-class MonteCarloResult:
-    """Aggregate of a Monte-Carlo fault-injection campaign.
-
-    Attributes:
-        trials: number of runs.
-        failures: runs whose output the evaluator rejected.
-        fault_counts: histogram {number of faults in run: occurrences}.
-        failures_by_fault_count: failures split by how many faults the
-            failing run contained — the direct check of the paper's
-            claim that single faults never cause failure.
-    """
-
-    trials: int
-    failures: int
-    fault_counts: Dict[int, int]
-    failures_by_fault_count: Dict[int, int]
-
-    @property
-    def failure_rate(self) -> float:
-        return self.failures / self.trials if self.trials else 0.0
-
-    @property
-    def failure_rate_stderr(self) -> float:
-        if self.trials == 0:
-            return 0.0
-        rate = self.failure_rate
-        return float(np.sqrt(max(rate * (1 - rate), 1e-12) / self.trials))
-
-    @property
-    def single_fault_failures(self) -> int:
-        return self.failures_by_fault_count.get(1, 0)
 
 
 def run_with_coherent_noise(circuit: Circuit,
@@ -100,8 +25,9 @@ def run_with_coherent_noise(circuit: Circuit,
                             = ()) -> StateVector:
     """Run a circuit with systematic unitary over-rotations composed in.
 
-    Coherent noise has no stochastic Pauli unravelling, so it cannot go
-    through :func:`monte_carlo`; instead the over-rotation unitary for
+    Coherent noise has no stochastic Pauli unravelling, so it cannot
+    feed the sampling engine (:func:`repro.analysis.engine.
+    run_monte_carlo` refuses it); instead the over-rotation unitary for
     each gate kind is applied to every touched qubit right after the
     gate — an exact, deterministic composition (pure states stay pure
     under fixed unitaries; use
@@ -114,8 +40,10 @@ def run_with_coherent_noise(circuit: Circuit,
             (anything with an ``error_gate(gate_name)`` method).
         initial_state: starting state (default |0...0>).
         extra_faults: optional additional (pauli, after_op) Pauli
-            faults, composed the same way :func:`run_with_faults`
-            composes them — for studying coherent + stochastic mixes.
+            faults, applied right after operation ``after_op``
+            (``-1`` injects before the first operation; several faults
+            at one point compose in order) — for studying coherent +
+            stochastic mixes.
     """
     if initial_state is None:
         state = StateVector(circuit.num_qubits)
@@ -142,79 +70,3 @@ def run_with_coherent_noise(circuit: Circuit,
         for pauli in by_point.get(index, []):
             state.apply_pauli(pauli)
     return state
-
-
-def monte_carlo(circuit: Circuit,
-                noise: NoiseModel,
-                evaluator: Callable[[StateVector], bool],
-                trials: int,
-                initial_state: Optional[StateVector] = None,
-                locations: Optional[Sequence[FaultLocation]] = None,
-                seed: Optional[int] = None) -> MonteCarloResult:
-    """Estimate the failure rate under stochastic faults.
-
-    Args:
-        circuit: measurement-free circuit.
-        noise: the stochastic noise model.
-        evaluator: returns True when the corrupted output is
-            *acceptable* (e.g. the residual error is correctable).
-        trials: Monte-Carlo runs.
-        initial_state: shared starting state.
-        locations: pre-enumerated fault locations (computed once for
-            sweeps over p).
-        seed: RNG seed.
-    """
-    rng = np.random.default_rng(seed)
-    if locations is None:
-        locations = enumerate_locations(circuit)
-    fault_counts: Dict[int, int] = {}
-    failures_by_count: Dict[int, int] = {}
-    failures = 0
-    for _ in range(trials):
-        sampled = noise.sample_faults(circuit, rng, locations)
-        count = len(sampled)
-        fault_counts[count] = fault_counts.get(count, 0) + 1
-        if count == 0:
-            # No faults: by construction the run is perfect; skip the
-            # expensive simulation (dominant case at small p).
-            continue
-        state = run_with_faults(
-            circuit,
-            [(fault.pauli, fault.after_op) for fault in sampled],
-            initial_state,
-        )
-        if not evaluator(state):
-            failures += 1
-            failures_by_count[count] = failures_by_count.get(count, 0) + 1
-    return MonteCarloResult(
-        trials=trials,
-        failures=failures,
-        fault_counts=fault_counts,
-        failures_by_fault_count=failures_by_count,
-    )
-
-
-def exhaustive_single_faults(circuit: Circuit,
-                             evaluator: Callable[[StateVector], bool],
-                             initial_state: Optional[StateVector] = None,
-                             locations: Optional[Sequence[FaultLocation]]
-                             = None,
-                             channel: str = "depolarizing"
-                             ) -> List[Tuple[FaultLocation, PauliString]]:
-    """Try every single-location Pauli fault; return the failures.
-
-    An empty return list is the machine-checked statement of the
-    paper's fault-tolerance property: *no single fault anywhere in the
-    gadget causes an unacceptable output*.
-    """
-    if locations is None:
-        locations = enumerate_locations(circuit)
-    model = NoiseModel.uniform(1.0, channel=channel)
-    failures: List[Tuple[FaultLocation, PauliString]] = []
-    for location in locations:
-        for pauli in model.fault_choices(location, circuit.num_qubits):
-            state = run_with_faults(circuit, [(pauli, location.after_op)],
-                                    initial_state)
-            if not evaluator(state):
-                failures.append((location, pauli))
-    return failures

@@ -2,8 +2,9 @@
 
 Monte Carlo threshold estimates run thousands of *near-identical*
 small circuits: the same gadget, the same initial state, only the
-injected Pauli fault pattern differs from trial to trial.  The serial
-engine pays the full per-gate Python dispatch cost once per trial.
+injected Pauli fault pattern differs from trial to trial.  Evaluating
+one trial at a time pays the full per-gate Python dispatch cost once
+per trial.
 :class:`BatchedState` amortises that cost across a whole batch by
 stacking B trials into **one** :class:`~repro.simulators.sparse.
 SparseState`:
@@ -41,7 +42,8 @@ Paulis past each other.
 The stacked register must fit the :class:`SparseState` width limit
 (192 qubits); oversized batches raise
 :class:`~repro.exceptions.SimulationError`, which the engine's
-fallback ladder catches to degrade gracefully to the serial path.
+fallback ladder catches to degrade gracefully to one-pattern
+evaluation.
 """
 
 from __future__ import annotations
@@ -57,12 +59,6 @@ from repro.exceptions import FaultToleranceError, SimulationError
 from repro.simulators.sparse import SparseState, _columns_for
 
 _WORD = 64
-
-#: Evaluation-path markers shared with the engine's pattern cache and
-#: checkpoint fingerprints.
-SERIAL_PATH = "serial"
-BATCHED_PATH = "batched"
-
 
 def _right_shifted_columns(matrix: np.ndarray, shift: int,
                            cols_out: int) -> np.ndarray:
@@ -109,7 +105,7 @@ class BatchedState:
         total = self.num_qubits + self.lane_bits
         # SparseState.__init__ enforces the 192-qubit width cap; an
         # oversized stack surfaces as SimulationError, which callers
-        # treat as "not batchable" and fall back to the serial path.
+        # treat as "not batchable" and fall back to one-pattern runs.
         inner = SparseState(total)
         shifted = SparseState._shifted_columns(
             initial._indices, self.lane_bits, inner._cols

@@ -6,9 +6,9 @@ Pauli channel.  Channels are used two ways:
 
 * exactly, by the :class:`~repro.simulators.density_matrix.
   DensityMatrix` simulator on small systems;
-* stochastically, by the fault-injection engine in
-  :mod:`repro.noise.injection`, which samples one Kraus/Pauli term per
-  fault location (the standard Monte-Carlo unravelling).
+* stochastically, by the fault-pattern engine in
+  :mod:`repro.analysis.engine`, which samples one Pauli term per fault
+  location (the standard Monte-Carlo unravelling).
 """
 
 from __future__ import annotations

@@ -3,21 +3,16 @@
 Satellites to the batched-equivalence suite: the weird shapes — zero
 trials, a final partial batch, a batch wider than the whole workload,
 an unbatchable simulator — must not merely *work*, they must leave the
-exact :class:`EngineStats` audit trail that tells an operator which
-path ran and how often it degraded.  The path-keyed
-:class:`FaultPatternCache` tests certify the cache never launders a
-verdict across evaluation paths, including under LRU pressure.
+exact :class:`EngineStats` audit trail that tells an operator how
+many patterns ran lane-stacked and how often a stack degraded to the
+per-pattern ladder.  The eviction tests certify the LRU-bounded
+:class:`FaultPatternCache` thrashes without corrupting a result.
 """
 
 import pytest
 
 from repro.analysis import n_gadget_evaluator
-from repro.analysis.engine import (
-    BATCHED_PATH,
-    SERIAL_PATH,
-    FaultPatternCache,
-    run_monte_carlo,
-)
+from repro.analysis.engine import FaultPatternCache, run_monte_carlo
 from repro.exceptions import AnalysisError, SimulationError
 from repro.ft import build_n_gadget, sparse_coset_state
 from repro.noise import NoiseModel
@@ -54,7 +49,7 @@ class TestEdgeCases:
     def test_final_partial_batch_is_counted(self, tiny):
         # 100 trials in one chunk; the distinct patterns (seeded, so
         # stable) split into full stacks plus one partial final stack.
-        serial = _mc(tiny, trials=100, chunk_size=100)
+        serial = _mc(tiny, trials=100, chunk_size=100, batch_size=1)
         distinct = serial.engine_stats.evaluations
         assert distinct > 4, "need several distinct patterns"
         assert distinct % 4 != 0, "final batch must be partial"
@@ -66,7 +61,7 @@ class TestEdgeCases:
         assert stats.batched_fallbacks == 0
 
     def test_batch_larger_than_workload_runs_one_stack(self, tiny):
-        serial = _mc(tiny, trials=40, chunk_size=40)
+        serial = _mc(tiny, trials=40, chunk_size=40, batch_size=1)
         distinct = serial.engine_stats.evaluations
         batched = _mc(tiny, trials=40, chunk_size=40, batch_size=4096)
         stats = batched.engine_stats
@@ -84,9 +79,9 @@ class TestEdgeCases:
     def test_unbatchable_stack_falls_back_to_serial(self, tiny,
                                                     monkeypatch):
         """A stack the simulator refuses (here: forced SimulationError)
-        degrades per-pattern to the serial path — same result, with
-        the degradation visible in the counters."""
-        serial = _mc(tiny, trials=80, chunk_size=80)
+        degrades to the per-pattern ladder — same result, with the
+        degradation visible in the counters."""
+        serial = _mc(tiny, trials=80, chunk_size=80, batch_size=1)
         distinct = serial.engine_stats.evaluations
 
         def explode(*args, **kwargs):
@@ -109,46 +104,11 @@ class TestEdgeCases:
                 _mc(tiny, trials=10, batch_size=bad)
 
 
-class TestPathKeyedCache:
-    def test_poisoned_serial_cache_cannot_feed_batched_run(self, tiny):
-        """Wrong serial-path verdicts must be invisible to a batched
-        run: the cache key includes the evaluation path."""
-        clean = _mc(tiny, trials=120, chunk_size=60)
-        poisoned = FaultPatternCache()
-        honest = FaultPatternCache()
-        _mc(tiny, trials=120, chunk_size=60, cache=honest)
-        for pattern, verdict in honest.items():
-            poisoned.store(pattern, not verdict, path=SERIAL_PATH)
-        batched = _mc(tiny, trials=120, chunk_size=60, batch_size=16,
-                      cache=poisoned)
-        assert batched == clean
-
-    def test_same_pattern_occupies_two_entries(self, tiny):
-        cache = FaultPatternCache()
-        _mc(tiny, trials=50, chunk_size=50, cache=cache)
-        serial_entries = len(cache)
-        _mc(tiny, trials=50, chunk_size=50, batch_size=8, cache=cache)
-        assert len(cache) == 2 * serial_entries
-        paths = {path for (path, _), _ in cache.items_with_paths()}
-        assert paths == {SERIAL_PATH, BATCHED_PATH}
-        # items() stays path-agnostic: every pattern appears twice.
-        patterns = [pattern for pattern, _ in cache.items()]
-        assert len(patterns) == 2 * len(set(patterns))
-
-    def test_default_accessors_address_serial_path(self, tiny):
-        cache = FaultPatternCache()
-        pattern = ()
-        cache.store(pattern, True, path=BATCHED_PATH)
-        assert pattern not in cache
-        assert not cache.contains(pattern)
-        assert cache.get(pattern) is None
-        assert cache.contains(pattern, path=BATCHED_PATH)
-        assert cache.get(pattern, path=BATCHED_PATH) is True
-
+class TestCacheEviction:
     def test_lru_eviction_under_batching(self, tiny):
         """A tiny cache thrashes but never corrupts: evictions are
         counted and the batched result still equals serial."""
-        serial = _mc(tiny, trials=150, chunk_size=50)
+        serial = _mc(tiny, trials=150, chunk_size=50, batch_size=1)
         cache = FaultPatternCache(max_entries=5)
         batched = _mc(tiny, trials=150, chunk_size=50, batch_size=16,
                       cache=cache)
@@ -158,14 +118,27 @@ class TestPathKeyedCache:
         stats = batched.engine_stats
         assert stats.cache_evictions == cache.evictions
 
-    def test_eviction_order_is_lru_per_key(self):
+    def test_eviction_order_is_lru(self):
+        first, second, third = (), ((None, 0),), ((None, 1),)
         cache = FaultPatternCache(max_entries=2)
-        cache.store((), True, path=SERIAL_PATH)
-        cache.store((), False, path=BATCHED_PATH)
-        # Touch the serial entry so the batched one is now LRU.
-        assert cache.get((), path=SERIAL_PATH) is True
-        other = ((None, 0),)
-        cache.store(other, True, path=SERIAL_PATH)
+        cache.store(first, True)
+        cache.store(second, False)
+        # Touch the first entry so the second is now LRU.
+        assert cache.get(first) is True
+        cache.store(third, True)
         assert cache.evictions == 1
-        assert cache.contains((), path=SERIAL_PATH)
-        assert not cache.contains((), path=BATCHED_PATH)
+        assert first in cache and third in cache
+        assert second not in cache
+
+    def test_batch_sizes_share_one_entry_per_pattern(self, tiny):
+        """The key is the pattern alone: a batched run over the same
+        stream replays every verdict a one-at-a-time run cached."""
+        cache = FaultPatternCache()
+        serial = _mc(tiny, trials=50, chunk_size=50, batch_size=1,
+                     cache=cache)
+        entries = len(cache)
+        batched = _mc(tiny, trials=50, chunk_size=50, batch_size=8,
+                      cache=cache)
+        assert batched == serial
+        assert len(cache) == entries
+        assert batched.engine_stats.evaluations == 0

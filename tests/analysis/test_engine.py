@@ -111,9 +111,18 @@ class TestSerialParallelEquivalence:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_exhaustive_engine_matches_serial_exactly(self, tiny,
                                                       workers):
+        """The engine's failure list equals a plain loop that
+        simulates each (location, pauli) pattern on its own."""
         gadget, initial, evaluator = tiny
-        serial = exhaustive_single_faults_sparse(gadget, initial,
-                                                 evaluator)
+        model = NoiseModel.uniform(1.0)
+        serial = [
+            (location, pauli)
+            for location in _default_locations(gadget)
+            for pauli in model.fault_choices(location, gadget.num_qubits)
+            if not evaluate_fault_pattern(
+                gadget, initial, evaluator,
+                canonical_pattern([(pauli, location.after_op)]))
+        ]
         engine = exhaustive_single_faults_sparse(gadget, initial,
                                                  evaluator,
                                                  workers=workers)
@@ -286,12 +295,18 @@ class TestEngineInstrumentation:
         done = [e.done for e in samples]
         assert done == sorted(done)
 
-    def test_serial_default_has_no_stats(self, tiny):
+    def test_default_wrapper_returns_engine_stats(self, tiny):
+        """Called without engine options, the wrapper still runs the
+        engine, lane-stacked at the default batch size."""
         gadget, initial, evaluator = tiny
         result = gadget_monte_carlo(gadget, initial, evaluator,
                                     NoiseModel.uniform(0.2),
                                     trials=50, seed=1)
-        assert result.engine_stats is None
+        stats = result.engine_stats
+        assert stats is not None
+        assert stats.trials == 50
+        assert stats.evaluations > 0
+        assert stats.batched_evaluations == stats.evaluations
 
 
 class TestEngineValidation:

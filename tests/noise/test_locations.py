@@ -2,11 +2,12 @@
 
 import pytest
 
+from repro.analysis.engine import run_exhaustive
 from repro.circuits import Circuit, PauliString, gates
 from repro.exceptions import AnalysisError
+from repro.ft.gadget import Gadget, Register, apply_circuit_with_faults
 from repro.noise import count_locations, enumerate_locations
-from repro.noise.injection import run_with_faults
-from repro.simulators import StateVector
+from repro.simulators import SparseState
 
 
 def staircase() -> Circuit:
@@ -16,6 +17,25 @@ def staircase() -> Circuit:
     circuit.add_gate(gates.CNOT, 1, 2)
     circuit.add_gate(gates.H, 0)  # q0 idles during CNOT(1,2)? no: ASAP
     return circuit
+
+
+def run_with_faults(circuit: Circuit, faults) -> SparseState:
+    state = SparseState(circuit.num_qubits)
+    apply_circuit_with_faults(state, circuit, faults)
+    return state
+
+
+def exhaustive(circuit: Circuit, evaluator, locations, **kwargs):
+    """Engine survey of a bare circuit wrapped as an all-data gadget.
+
+    ``memoize=False`` makes every (location, Pauli) pair one evaluator
+    call, so coverage can be counted from the evaluator."""
+    qubits = tuple(range(circuit.num_qubits))
+    gadget = Gadget("bare", circuit,
+                    {"data": Register("data", qubits, role="data")})
+    return run_exhaustive(gadget, SparseState(circuit.num_qubits),
+                          evaluator, locations=locations,
+                          memoize=False, **kwargs)
 
 
 class TestEnumeration:
@@ -84,7 +104,7 @@ class TestDelayAnchoring:
         fault = PauliString.single(2, 0, "X")
         faulty = run_with_faults(circuit, [(fault, location.after_op)])
         # Reference: X on q0 between op0 and op3 (same moment window).
-        reference = StateVector(2)
+        reference = SparseState(2)
         reference.apply_gate(gates.X, [0])
         reference.apply_gate(gates.H, [1])
         reference.apply_gate(gates.X, [0])  # the delay fault
@@ -197,9 +217,9 @@ class TestCrosstalkLocations:
 
 class TestExhaustiveMultiQubitLocations:
     def test_exhaustive_single_faults_over_burst_locations(self):
-        """exhaustive_single_faults accepts multi-qubit (burst)
+        """The exhaustive survey accepts multi-qubit (burst)
         locations: every non-identity Pauli on the window is tried."""
-        from repro.noise import burst_locations, exhaustive_single_faults
+        from repro.noise import burst_locations
 
         circuit = Circuit(2)
         circuit.add_gate(gates.X, 0)
@@ -211,13 +231,13 @@ class TestExhaustiveMultiQubitLocations:
             seen.append(True)
             return True  # accept everything; we count coverage
 
-        failures = exhaustive_single_faults(circuit, evaluator,
-                                            locations=locations)
-        assert failures == []
-        assert len(seen) == 15  # 4^2 - 1 Paulis on the one window
+        survey = exhaustive(circuit, evaluator, locations)
+        assert survey.failures == []
+        assert survey.checked == 15  # 4^2 - 1 Paulis on the one window
+        assert len(seen) == 15
 
     def test_exhaustive_burst_failures_detected(self):
-        from repro.noise import burst_locations, exhaustive_single_faults
+        from repro.noise import burst_locations
 
         circuit = Circuit(2)
         circuit.add_gate(gates.X, 0)
@@ -228,8 +248,7 @@ class TestExhaustiveMultiQubitLocations:
         def evaluator(state):
             return state.fidelity(reference) > 1 - 1e-10
 
-        failures = exhaustive_single_faults(circuit, evaluator,
-                                            locations=locations)
+        failures = exhaustive(circuit, evaluator, locations).failures
         # X,Y flips and phase-carrying faults all disturb |11>... every
         # non-phase-only Pauli fails; pure-Z faults only add phase.
         failing_labels = {pauli.label() for _, pauli in failures}
@@ -237,11 +256,7 @@ class TestExhaustiveMultiQubitLocations:
         assert "ZZ" not in failing_labels
 
     def test_exhaustive_over_crosstalk_and_delay_locations(self):
-        from repro.noise import (
-            crosstalk_locations,
-            enumerate_locations,
-            exhaustive_single_faults,
-        )
+        from repro.noise import crosstalk_locations
 
         circuit = Circuit(3)
         circuit.add_gate(gates.X, 1)        # q1 busy at moment 0
@@ -259,10 +274,10 @@ class TestExhaustiveMultiQubitLocations:
             attempts.append(True)
             return True
 
-        failures = exhaustive_single_faults(circuit, evaluator,
-                                            locations=mixed,
-                                            channel="bit_flip")
-        assert failures == []
+        survey = exhaustive(circuit, evaluator, mixed,
+                            channel="bit_flip")
+        assert survey.failures == []
+        assert survey.checked == len(mixed)
         # bit_flip channel: exactly one X fault per single-qubit
         # location, multi-qubit would multiply accordingly.
         assert len(attempts) == len(mixed)

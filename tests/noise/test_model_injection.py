@@ -1,18 +1,20 @@
-"""Tests for the noise model and the fault-injection engines."""
+"""Tests for the noise model and fault injection on bare circuits.
+
+Fault injection runs on the sparse backend
+(:func:`~repro.ft.gadget.apply_circuit_with_faults`); sampled and
+exhaustive surveys of a bare circuit go through the engine on a
+:class:`~repro.ft.gadget.Gadget` that wraps it.
+"""
 
 import numpy as np
 import pytest
 
+from repro.analysis.engine import run_exhaustive, run_monte_carlo
 from repro.circuits import Circuit, PauliString, gates
-from repro.exceptions import SimulationError
-from repro.noise import (
-    NoiseModel,
-    enumerate_locations,
-    exhaustive_single_faults,
-    monte_carlo,
-    run_with_faults,
-)
-from repro.simulators import StateVector
+from repro.exceptions import FaultToleranceError, SimulationError
+from repro.ft.gadget import Gadget, Register, apply_circuit_with_faults
+from repro.noise import NoiseModel, enumerate_locations
+from repro.simulators import SparseState
 
 
 def simple_circuit() -> Circuit:
@@ -20,6 +22,33 @@ def simple_circuit() -> Circuit:
     circuit.add_gate(gates.H, 0)
     circuit.add_gate(gates.CNOT, 0, 1)
     return circuit
+
+
+def bare_gadget(circuit: Circuit) -> Gadget:
+    """The circuit as a gadget whose every qubit is data, so inputs of
+    all qubits count as fault locations."""
+    qubits = tuple(range(circuit.num_qubits))
+    return Gadget("bare", circuit,
+                  {"data": Register("data", qubits, role="data")})
+
+
+def run_with_faults(circuit: Circuit, faults) -> SparseState:
+    state = SparseState(circuit.num_qubits)
+    apply_circuit_with_faults(state, circuit, faults)
+    return state
+
+
+def reference_state(num_qubits: int, steps) -> SparseState:
+    state = SparseState(num_qubits)
+    for gate, qubits in steps:
+        state.apply_gate(gate, qubits)
+    return state
+
+
+def identity_gadget() -> Gadget:
+    circuit = Circuit(1)
+    circuit.add_gate(gates.I, 0)
+    return bare_gadget(circuit)
 
 
 class TestNoiseModel:
@@ -81,21 +110,16 @@ class TestRunWithFaults:
         circuit = simple_circuit()
         fault = PauliString.single(2, 0, "X")
         state = run_with_faults(circuit, [(fault, -1)])
-        # X before H|0> gives |->; CNOT leaves |-> (x) |0>... compute:
-        reference = StateVector(2)
-        reference.apply_gate(gates.X, [0])
-        reference.apply_gate(gates.H, [0])
-        reference.apply_gate(gates.CNOT, [0, 1])
+        reference = reference_state(2, [(gates.X, [0]), (gates.H, [0]),
+                                        (gates.CNOT, [0, 1])])
         assert state.fidelity(reference) > 1 - 1e-10
 
     def test_fault_mid_circuit(self):
         circuit = simple_circuit()
         fault = PauliString.single(2, 1, "X")
         state = run_with_faults(circuit, [(fault, 0)])
-        reference = StateVector(2)
-        reference.apply_gate(gates.H, [0])
-        reference.apply_gate(gates.X, [1])
-        reference.apply_gate(gates.CNOT, [0, 1])
+        reference = reference_state(2, [(gates.H, [0]), (gates.X, [1]),
+                                        (gates.CNOT, [0, 1])])
         assert state.fidelity(reference) > 1 - 1e-10
 
     def test_multiple_faults_compose(self):
@@ -107,7 +131,7 @@ class TestRunWithFaults:
 
     def test_rejects_measurement(self):
         circuit = Circuit(1, 1).measure(0, 0)
-        with pytest.raises(SimulationError):
+        with pytest.raises(FaultToleranceError):
             run_with_faults(circuit, [])
 
 
@@ -115,51 +139,44 @@ class TestMonteCarlo:
     def test_unprotected_circuit_fails_linearly(self):
         """A bare qubit's failure rate tracks p — the paper's contrast
         to the O(p^2) of protected gadgets."""
-        circuit = Circuit(1)
-        circuit.add_gate(gates.I, 0)
-        clean = StateVector(1)
-
-        def evaluator(state: StateVector) -> bool:
-            return state.fidelity(clean) > 0.99
-
-        result = monte_carlo(circuit, NoiseModel.uniform(0.1),
-                             evaluator, trials=3000, seed=0)
+        clean = SparseState(1)
+        result = run_monte_carlo(
+            identity_gadget(), SparseState(1),
+            lambda state: state.fidelity(clean) > 0.99,
+            NoiseModel.uniform(0.1), trials=3000, seed=0)
         # 2 locations (input + gate); Z faults keep |0> but X/Y break.
         assert 0.05 < result.failure_rate < 0.25
 
     def test_histogram_recorded(self):
-        circuit = simple_circuit()
-        result = monte_carlo(circuit, NoiseModel.uniform(0.05),
-                             lambda s: True, trials=500, seed=1)
-        assert sum(result.fault_counts.values()) == 500
+        gadget = bare_gadget(simple_circuit())
+        result = run_monte_carlo(gadget, SparseState(2), lambda s: True,
+                                 NoiseModel.uniform(0.05), trials=500,
+                                 seed=1)
+        assert sum(result.fault_count_histogram.values()) == 500
         assert result.failures == 0
 
     def test_stderr(self):
-        circuit = Circuit(1)
-        circuit.add_gate(gates.I, 0)
-        result = monte_carlo(circuit, NoiseModel.uniform(0.5),
-                             lambda s: False, trials=100, seed=2)
-        assert result.failure_rate_stderr < 0.06
+        result = run_monte_carlo(identity_gadget(), SparseState(1),
+                                 lambda s: False,
+                                 NoiseModel.uniform(0.5), trials=100,
+                                 seed=2)
+        assert result.stderr < 0.06
 
 
 class TestExhaustiveSingleFaults:
     def test_unprotected_identity_has_failures(self):
-        circuit = Circuit(1)
-        circuit.add_gate(gates.I, 0)
-        clean = StateVector(1)
-        failures = exhaustive_single_faults(
-            circuit,
-            evaluator=lambda s: s.fidelity(clean) > 0.99,
+        clean = SparseState(1)
+        survey = run_exhaustive(
+            identity_gadget(), SparseState(1),
+            lambda s: s.fidelity(clean) > 0.99,
         )
-        labels = {pauli.label() for _, pauli in failures}
+        labels = {pauli.label() for _, pauli in survey.failures}
         assert labels == {"X", "Y"}
 
     def test_phase_insensitive_evaluator(self):
-        circuit = Circuit(1)
-        circuit.add_gate(gates.I, 0)
-        failures = exhaustive_single_faults(
-            circuit,
-            evaluator=lambda s: s.probability_of_outcome(0, 0) > 0.99,
+        survey = run_exhaustive(
+            identity_gadget(), SparseState(1),
+            lambda s: s.probability_of_outcome(0, 0) > 0.99,
             channel="phase_flip",
         )
-        assert failures == []
+        assert survey.failures == []

@@ -96,6 +96,29 @@ class TestMonteCarloResume:
         assert again.engine_stats.evaluations == 0
         assert again.engine_stats.resumed_verdicts > 0
 
+    def test_legacy_batched_journal_resumes_under_default(self, tiny,
+                                                          tmp_path):
+        """Journals written before lane stacking became the default
+        stamp batched runs with an ``eval_path`` fingerprint marker.
+        Such a journal must still open: the marker is ignored and its
+        verdicts replay with no fresh evaluation."""
+        gadget, initial, evaluator = tiny
+        noise = NoiseModel.uniform(0.25)
+        kwargs = dict(trials=500, seed=11, workers=1, chunk_size=64)
+        store = CheckpointStore(str(tmp_path / "legacy"))
+        first = run_monte_carlo(gadget, initial, evaluator, noise,
+                                checkpoint=store, **kwargs)
+        recorded = store.load_header()["fingerprint"]
+        assert "eval_path" not in recorded
+        store.write_header(dict(recorded, eval_path="batched"))
+        journaled = len(store.load_verdicts())
+        assert journaled > 0
+        again = run_monte_carlo(gadget, initial, evaluator, noise,
+                                checkpoint=store, **kwargs)
+        assert again == first
+        assert again.engine_stats.evaluations == 0
+        assert again.engine_stats.resumed_verdicts == journaled
+
     def test_resume_false_restarts_the_journal(self, tiny, tmp_path):
         gadget, initial, evaluator = tiny
         noise = NoiseModel.uniform(0.25)

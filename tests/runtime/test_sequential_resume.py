@@ -146,14 +146,15 @@ class TestSequentialMonteCarloResume:
 class TestBatchedSequentialResume:
     """The vectorised evaluation path under the same kill/resume
     contract: batched runs must journal, die and resume exactly like
-    serial ones — and must never silently resume a serial journal."""
+    one-pattern-at-a-time (``eval_batch_size=1``) ones — and a journal
+    resumes under any batch size."""
 
     def test_batched_run_equals_serial_run(self, tiny):
         gadget, initial, evaluator = tiny
         noise = NoiseModel.uniform(0.05)
         serial = run_sequential_monte_carlo(
             gadget, initial, evaluator, noise, seed=2025,
-            **_SEQ_KWARGS)
+            eval_batch_size=1, **_SEQ_KWARGS)
         for eval_batch_size in (7, 64):
             batched = run_sequential_monte_carlo(
                 gadget, initial, evaluator, noise, seed=2025,
@@ -197,7 +198,7 @@ class TestBatchedSequentialResume:
         noise = NoiseModel.uniform(0.05)
         serial = run_sequential_monte_carlo(
             gadget, initial, evaluator, noise, seed=2025,
-            **_SEQ_KWARGS)
+            eval_batch_size=1, **_SEQ_KWARGS)
         store = CheckpointStore(str(tmp_path / "batched"))
         with pytest.raises(KeyboardInterrupt):
             run_sequential_monte_carlo(
@@ -215,39 +216,39 @@ class TestBatchedSequentialResume:
         assert resumed.batches == serial.batches
         assert store.load_final()["complete"] is True
 
-    def test_cross_path_resume_is_refused(self, tiny, tmp_path):
-        """A serial journal must not silently feed a batched resume
-        (or vice versa): the eval-path fingerprint marker refuses."""
+    def test_cross_batch_size_resume(self, tiny, tmp_path):
+        """The batch size is not part of the fingerprint: a run killed
+        at one ``eval_batch_size`` finishes at another, bit-identical
+        to a run that never died — in both directions."""
         gadget, initial, evaluator = tiny
         noise = NoiseModel.uniform(0.05)
-        store = CheckpointStore(str(tmp_path / "crosspath"))
-        with pytest.raises(KeyboardInterrupt):
-            run_sequential_monte_carlo(
+        for killed_at, resumed_at in ((1, 32), (32, 1)):
+            baseline = run_sequential_monte_carlo(
                 gadget, initial, evaluator, noise, seed=2025,
-                checkpoint=store, progress=_InterruptAfter(1),
+                eval_batch_size=killed_at, **_SEQ_KWARGS)
+            store = CheckpointStore(str(tmp_path / f"from-{killed_at}"))
+            with pytest.raises(KeyboardInterrupt):
+                run_sequential_monte_carlo(
+                    gadget, initial, evaluator, noise, seed=2025,
+                    eval_batch_size=killed_at, checkpoint=store,
+                    progress=_InterruptAfter(2), **_SEQ_KWARGS)
+            assert store.load_state("cursor")["interrupted"] is True
+            resumed = run_sequential_monte_carlo(
+                gadget, initial, evaluator, noise, seed=2025,
+                eval_batch_size=resumed_at, checkpoint=store,
                 **_SEQ_KWARGS)
-        with pytest.raises(CheckpointError, match="different run"):
-            run_sequential_monte_carlo(
-                gadget, initial, evaluator, noise, seed=2025,
-                eval_batch_size=32, checkpoint=store, **_SEQ_KWARGS)
-
-        reverse = CheckpointStore(str(tmp_path / "crosspath-b"))
-        with pytest.raises(KeyboardInterrupt):
-            run_sequential_monte_carlo(
-                gadget, initial, evaluator, noise, seed=2025,
-                eval_batch_size=32, checkpoint=reverse,
-                progress=_InterruptAfter(1), **_SEQ_KWARGS)
-        with pytest.raises(CheckpointError, match="different run"):
-            run_sequential_monte_carlo(
-                gadget, initial, evaluator, noise, seed=2025,
-                checkpoint=reverse, **_SEQ_KWARGS)
+            assert resumed.verdict == baseline.verdict
+            assert resumed.result == baseline.result
+            assert resumed.batches == baseline.batches
+            assert resumed.result.engine_stats.resumed_verdicts > 0
+            assert store.load_final()["complete"] is True
 
     def test_batched_pair_run_equals_serial(self, tiny):
         gadget, initial, evaluator = tiny
         kwargs = dict(f0=0.7, f1=0.8, max_samples=1500, seed=31,
                       batch_size=64)
         serial = run_sequential_pair_sampling(
-            gadget, initial, evaluator, **kwargs)
+            gadget, initial, evaluator, eval_batch_size=1, **kwargs)
         batched = run_sequential_pair_sampling(
             gadget, initial, evaluator, eval_batch_size=16,
             prefetch=True, **kwargs)
@@ -259,7 +260,8 @@ class TestBatchedSequentialResume:
         gadget, initial, evaluator = tiny
         kwargs = dict(p_values=[0.01, 0.05, 0.2],
                       total_trials=12 * 128, seed=5, batch_size=128)
-        serial = adaptive_sweep_p(gadget, initial, evaluator, **kwargs)
+        serial = adaptive_sweep_p(gadget, initial, evaluator,
+                                  eval_batch_size=1, **kwargs)
         batched = adaptive_sweep_p(gadget, initial, evaluator,
                                    eval_batch_size=32, **kwargs)
         assert batched.allocation == serial.allocation

@@ -56,7 +56,9 @@ def _certify_monte_carlo(case, label, noise, trials=256, seed=99):
     """Assert serial == batched for every batch size on one cell."""
     gadget, initial, evaluator = case.factory()
     serial = run_monte_carlo(gadget, initial, evaluator, noise,
-                             trials=trials, seed=seed, chunk_size=64)
+                             trials=trials, seed=seed, chunk_size=64,
+                             batch_size=1)
+    assert serial.engine_stats.batched_evaluations == 0
     for batch_size in BATCH_SIZES:
         if batch_size == 1:
             continue
@@ -115,7 +117,7 @@ class TestVerdictEquivalence:
     def test_malignant_pairs_equivalence(self, trivial_cases):
         gadget, initial, evaluator = trivial_cases["N"].factory()
         serial = run_malignant_pairs(gadget, initial, evaluator,
-                                     samples=400, seed=17)
+                                     samples=400, seed=17, batch_size=1)
         for batch_size in (7, 64):
             batched = run_malignant_pairs(gadget, initial, evaluator,
                                           samples=400, seed=17,
@@ -127,7 +129,8 @@ class TestVerdictEquivalence:
 
     def test_exhaustive_equivalence(self, trivial_cases):
         gadget, initial, evaluator = trivial_cases["N"].factory()
-        serial = run_exhaustive(gadget, initial, evaluator)
+        serial = run_exhaustive(gadget, initial, evaluator,
+                                batch_size=1)
         batched = run_exhaustive(gadget, initial, evaluator,
                                  batch_size=32)
         assert batched.failures == serial.failures
@@ -142,7 +145,7 @@ class TestVerdictEquivalence:
         noise = NoiseModel.uniform(0.05)
         kwargs = dict(trials=200, seed=4, chunk_size=50)
         serial = run_monte_carlo(gadget, initial, evaluator, noise,
-                                 memoize=False, **kwargs)
+                                 memoize=False, batch_size=1, **kwargs)
         batched = run_monte_carlo(gadget, initial, evaluator, noise,
                                   memoize=False, batch_size=16,
                                   **kwargs)
@@ -154,7 +157,7 @@ class TestVerdictEquivalence:
         noise = NoiseModel.uniform(0.05)
         kwargs = dict(trials=300, seed=21, chunk_size=75)
         serial = run_monte_carlo(gadget, initial, evaluator, noise,
-                                 **kwargs)
+                                 batch_size=1, **kwargs)
         batched = run_monte_carlo(gadget, initial, evaluator, noise,
                                   workers=2, batch_size=25, **kwargs)
         assert batched == serial
