@@ -832,13 +832,14 @@ def _resolve_verdicts(context: _EvalContext,
 
 def _location_setup(noise: Optional[NoiseModel], gadget: Gadget,
                     locations: Sequence[FaultLocation]
-                    ) -> Tuple[np.ndarray, List[List[PauliString]],
+                    ) -> Tuple[np.ndarray, List[Tuple[PauliString, ...]],
                                List[int]]:
     """Precompute per-location strike probabilities and fault choices.
 
-    ``fault_choices`` is a ``pauli_basis`` walk; doing it once per
-    run rather than per struck location per trial is a measurable win
-    on its own.
+    ``fault_choices`` embeds the channel's local Pauli alphabet (a
+    ``pauli_basis`` walk the noise model caches per channel and width)
+    on each location; doing it once per run rather than per struck
+    location per trial is a measurable win on its own.
     """
     model = noise if noise is not None else NoiseModel.uniform(1.0)
     probs = np.array([model.probability_for(loc) for loc in locations],
@@ -901,7 +902,7 @@ def chunk_seed_sequence(seed: int, chunk_index: int,
 def sample_fault_chunk(noise: NoiseModel, gadget: Gadget,
                        locations: Sequence[FaultLocation],
                        probs: np.ndarray,
-                       choices: List[List[PauliString]],
+                       choices: List[Tuple[PauliString, ...]],
                        after_ops: List[int],
                        rng: np.random.Generator,
                        length: int,
@@ -949,7 +950,7 @@ def sample_fault_chunk(noise: NoiseModel, gadget: Gadget,
             pattern_counts[key] = pattern_counts.get(key, 0) + 1
 
 
-def sample_pair_chunk(choices: List[List[PauliString]],
+def sample_pair_chunk(choices: List[Tuple[PauliString, ...]],
                       after_ops: List[int],
                       num_locations: int,
                       rng: np.random.Generator,

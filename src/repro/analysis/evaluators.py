@@ -6,16 +6,28 @@ the experiments: after IDEAL error correction of the protected blocks,
 the intended logical output state is recovered exactly (junk registers
 may hold anything).  This matches the paper's failure notion — a
 gadget fails only when it leaves an *uncorrectable* error behind.
+
+Two evaluator families share that notion.  Overlap evaluators
+(:func:`recovered_overlap_evaluator`) need amplitudes and score one
+extracted state at a time.  Basis-term evaluators
+(:class:`BasisTermEvaluator`: the N gadget and classical blocks) judge
+computational-basis words only, so they also score a whole stacked
+:class:`~repro.simulators.batched.BatchedState` straight from its index
+array through :meth:`BasisTermEvaluator.lanes`.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Sequence
+from typing import Callable, Dict, List, Sequence, Tuple
+
+import numpy as np
 
 from repro.codes.quantum.css import CssCode
+from repro.exceptions import AnalysisError, SimulationError
 from repro.ft.gadget import Gadget
 from repro.ft.ideal_recovery import apply_perfect_recovery
 from repro.ft.ngate import classical_majority_value
+from repro.simulators.batched import BatchedState
 from repro.simulators.sparse import SparseState
 
 _DEFAULT_TOLERANCE = 1e-7
@@ -49,9 +61,132 @@ def recovered_overlap_evaluator(gadget: Gadget, code: CssCode,
     return evaluate
 
 
+#: Status of one basis term (or one block word) under the predicates.
+_OK, _BAD, _RAISES = 0, 1, 2
+
+#: Word predicate of one register block: big-endian bits -> acceptable.
+WordPredicate = Callable[[List[int]], bool]
+
+
+def _bits(word: int, width: int) -> List[int]:
+    """The big-endian bits of a packed block word."""
+    return [(word >> (width - 1 - i)) & 1 for i in range(width)]
+
+
+class BasisTermEvaluator:
+    """Accept when every computational-basis term passes per-block
+    word predicates.
+
+    Each block is ``(qubits, predicate)``; the predicate sees the
+    block's bits, big-endian in the listed qubit order, and is run
+    once per distinct packed word (a Steane block has at most 2**7).
+    A term passes when every block's word passes; blocks are checked
+    in order and terms in storage order, so the first failing block
+    of a state's first failing term decides — exactly what a term-by-
+    term loop returns, including an exception the predicate raises.
+
+    ``__call__`` scores one :class:`SparseState`; :meth:`lanes` scores
+    every lane of a :class:`BatchedState` in the same vectorized pass,
+    without extracting the lanes.
+    """
+
+    def __init__(self, blocks: Sequence[Tuple[Sequence[int],
+                                              WordPredicate]]) -> None:
+        self._blocks: List[Tuple[List[int], WordPredicate,
+                                 Dict[int, int]]] = []
+        for qubits, predicate in blocks:
+            qubits = list(qubits)
+            if len(qubits) > 63:
+                raise AnalysisError(
+                    f"basis-term blocks hold at most 63 qubits, got "
+                    f"{len(qubits)}"
+                )
+            self._blocks.append((qubits, predicate, {}))
+
+    def __call__(self, state: SparseState) -> bool:
+        lane_ids = np.zeros(state.num_terms, dtype=np.int64)
+        return self._verdicts(state, lane_ids, 1,
+                              require_terms=False)[0]
+
+    def lanes(self, state: BatchedState) -> List[bool]:
+        """One verdict per lane, equal to ``self(state.extract_lane(i))``.
+
+        Raises :class:`SimulationError` for a lane with no terms, as
+        :meth:`BatchedState.extract_lane` does.
+        """
+        return self._verdicts(state._state, state._lane_ids(),
+                              state.batch, require_terms=True)
+
+    # -- internals --------------------------------------------------------
+
+    def _word_status(self, predicate: WordPredicate,
+                     memo: Dict[int, int], word: int,
+                     width: int) -> int:
+        status = memo.get(word)
+        if status is None:
+            try:
+                status = _OK if predicate(_bits(word, width)) else _BAD
+            except Exception:
+                # Not memoized: the failing term re-runs the predicate
+                # so the caller sees the predicate's own exception.
+                return _RAISES
+            memo[word] = status
+        return status
+
+    def _term_status(self, state: SparseState) -> np.ndarray:
+        status = np.zeros(state.num_terms, dtype=np.int8)
+        for qubits, predicate, memo in self._blocks:
+            words, inverse = np.unique(state._packed_values(qubits),
+                                       return_inverse=True)
+            table = np.array(
+                [self._word_status(predicate, memo, int(word),
+                                   len(qubits)) for word in words],
+                dtype=np.int8,
+            )
+            status = np.where(status == _OK, table[inverse.ravel()],
+                              status)
+        return status
+
+    def _verdicts(self, state: SparseState, lane_ids: np.ndarray,
+                  batch: int, require_terms: bool) -> List[bool]:
+        status = self._term_status(state)
+        failing = status != _OK
+        rejected = np.bincount(lane_ids[failing], minlength=batch) > 0
+        empty = (np.bincount(lane_ids, minlength=batch) == 0
+                 if require_terms else np.zeros(batch, dtype=bool))
+        if empty.any() or (status == _RAISES).any():
+            self._raise_first(state, lane_ids, status, empty)
+        return (~rejected).tolist()
+
+    def _raise_first(self, state: SparseState, lane_ids: np.ndarray,
+                     status: np.ndarray, empty: np.ndarray) -> None:
+        """Raise what a lane-by-lane, term-by-term loop raises first:
+        an empty lane's :class:`SimulationError` or the predicate's
+        exception on a lane whose first failing term raises."""
+        failing_terms = np.flatnonzero(status != _OK)
+        lanes, first = np.unique(lane_ids[failing_terms],
+                                 return_index=True)
+        first_terms = failing_terms[first]
+        raising = status[first_terms] == _RAISES
+        culprits = {int(lane): int(term) for lane, term in
+                    zip(lanes[raising], first_terms[raising])}
+        culprits.update((int(lane), -1) for lane in np.flatnonzero(empty))
+        if not culprits:
+            return
+        lane = min(culprits)
+        term = culprits[lane]
+        if term < 0:
+            raise SimulationError(
+                f"lane {lane} collapsed to zero in the stacked state"
+            )
+        for qubits, predicate, _ in self._blocks:
+            word = int(state._packed_values(qubits)[term])
+            if not predicate(_bits(word, len(qubits))):
+                return
+
+
 def n_gadget_evaluator(gadget: Gadget, code: CssCode,
-                       logical_bit: int
-                       ) -> Callable[[SparseState], bool]:
+                       logical_bit: int) -> BasisTermEvaluator:
     """Per-basis-term acceptance for the N gadget on a basis input.
 
     Every computational-basis term of the output must have
@@ -66,51 +201,37 @@ def n_gadget_evaluator(gadget: Gadget, code: CssCode,
     again (paper Sec. 4.1/4.2).
     """
     classical = gadget.qubits("classical")
-    quantum = gadget.qubits("quantum")
     tolerance = max(0, (len(classical) - 1) // 2)
     classical_code = code.classical_code
 
-    def evaluate(state: SparseState) -> bool:
-        top = state.num_qubits - 1
-        for index in state.iter_ints():
-            wrong = sum(
-                ((index >> (top - qubit)) & 1) != logical_bit
-                for qubit in classical
-            )
-            if wrong > tolerance:
-                return False
-            word = [(index >> (top - qubit)) & 1 for qubit in quantum]
-            try:
-                corrected = classical_code.correct(word)
-            except Exception:
-                return False
-            if code.logical_readout(corrected) != logical_bit:
-                return False
-            flips = sum(int(w != c) for w, c in zip(word, corrected))
-            if flips > code.correctable_errors:
-                return False
-        return True
+    def classical_ok(bits: List[int]) -> bool:
+        return sum(bit != logical_bit for bit in bits) <= tolerance
 
-    return evaluate
+    def quantum_ok(word: List[int]) -> bool:
+        try:
+            corrected = classical_code.correct(word)
+        except Exception:
+            return False
+        if code.logical_readout(corrected) != logical_bit:
+            return False
+        flips = sum(int(w != c) for w, c in zip(word, corrected))
+        return flips <= code.correctable_errors
+
+    return BasisTermEvaluator([(classical, classical_ok),
+                               (gadget.qubits("quantum"), quantum_ok)])
 
 
 def classical_block_value_evaluator(gadget: Gadget, block: str,
                                     expected_bit: int,
                                     max_wrong: int
-                                    ) -> Callable[[SparseState], bool]:
+                                    ) -> BasisTermEvaluator:
     """Accept when a classical block majority-decodes to the bit with
     at most ``max_wrong`` corrupted positions in every basis term."""
-    qubits = gadget.qubits(block)
 
-    def evaluate(state: SparseState) -> bool:
-        top = state.num_qubits - 1
-        for index in state.iter_ints():
-            bits = [(index >> (top - qubit)) & 1 for qubit in qubits]
-            wrong = sum(int(b != expected_bit) for b in bits)
-            if wrong > max_wrong:
-                return False
-            if classical_majority_value(bits) != expected_bit:
-                return False
-        return True
+    def value_ok(bits: List[int]) -> bool:
+        wrong = sum(int(b != expected_bit) for b in bits)
+        if wrong > max_wrong:
+            return False
+        return classical_majority_value(bits) == expected_bit
 
-    return evaluate
+    return BasisTermEvaluator([(gadget.qubits(block), value_ok)])

@@ -18,6 +18,7 @@ weights) belongs to the model, not the channel.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -112,6 +113,22 @@ register_channel("phase_flip", ("Z",))
 CHANNELS = ("depolarizing", "bit_flip", "phase_flip")
 
 
+@lru_cache(maxsize=None)
+def _local_choices(spec: ChannelSpec,
+                   width: int) -> Tuple[PauliString, ...]:
+    """The channel's non-identity Paulis on ``width`` qubits, in
+    ``pauli_basis`` order.
+
+    Keyed on the :class:`ChannelSpec` itself rather than its name, so
+    re-registering a name with new letters never serves stale choices.
+    Only the local alphabet is cached: caching every embedded
+    location's choices as well would keep thousands of register-wide
+    Pauli strings alive for the life of the process.
+    """
+    return tuple(local for local in pauli_basis(width)
+                 if not local.is_identity and spec.allows(local.label()))
+
+
 @dataclass(frozen=True)
 class SampledFault:
     """One fault drawn by the noise model."""
@@ -170,18 +187,12 @@ class NoiseModel:
         return self.p_delay
 
     def fault_choices(self, location: FaultLocation,
-                      num_qubits: int) -> List[PauliString]:
+                      num_qubits: int) -> Tuple[PauliString, ...]:
         """The Pauli faults this channel can place at a location."""
-        width = len(location.qubits)
-        spec = channel_spec(self.channel)
-        choices: List[PauliString] = []
-        for local in pauli_basis(width):
-            if local.is_identity:
-                continue
-            if not spec.allows(local.label()):
-                continue
-            choices.append(local.embedded(num_qubits, list(location.qubits)))
-        return choices
+        qubits = list(location.qubits)
+        return tuple(local.embedded(num_qubits, qubits) for local in
+                     _local_choices(channel_spec(self.channel),
+                                    len(qubits)))
 
     def fault_weights(self, location: FaultLocation,
                       choices: Sequence[PauliString]

@@ -156,7 +156,9 @@ def _write_atomic_json(path: str, payload: Dict[str, Any]) -> None:
     )
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            json.dump(record, handle)
+            # One dumps + write: json.dump streams through the pure-
+            # Python encoder, dumps takes the C one (same bytes).
+            handle.write(json.dumps(record))
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp_path, path)

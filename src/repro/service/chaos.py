@@ -230,9 +230,11 @@ class WorkerChaosEvent:
     * ``partition_worker`` — the server drops ``count`` consecutive
       requests from the worker starting at ``index``, without one
       response byte: a network partition as seen from the worker.
-      Claims/heartbeats/completes sent into the partition vanish; the
-      worker's lease expires server-side, is re-issued, and its
-      post-partition writes must be refused as stale.
+      Claims/heartbeats/completes sent into the partition vanish
+      before the server's per-op tally, so they take no request index
+      and no request-coordinate fault fires on them; the worker's
+      lease expires server-side, is re-issued, and its post-partition
+      writes must be refused as stale.
     * ``delay_heartbeat`` — the server sleeps ``seconds`` *before*
       processing the request, so the heartbeat lands late by the
       server's clock: the zombie-worker coordinate.  With a grace

@@ -246,18 +246,21 @@ class CertificationServer:
                 return
             method, path, body, headers = request
             op, responder = self._route(method, path, body, headers)
-            index = self.request_counts.get(op, 0)
-            self.request_counts[op] = index + 1
-            events = (self.net_chaos.match(op, index)
-                      if self.net_chaos is not None else [])
-            kinds = {event.kind for event in events}
             worker: Optional[str] = None
             if op in _WORK_OPS:
                 worker = self._authenticate(method, path, body,
                                             headers)
                 dropped = await self._fleet_chaos(worker, op)
                 if dropped:
-                    return  # partitioned: not one response byte
+                    # Partitioned: not one response byte.  The request
+                    # never reached the server, so it takes no op
+                    # index and consumes no request-coordinate fault.
+                    return
+            index = self.request_counts.get(op, 0)
+            self.request_counts[op] = index + 1
+            events = (self.net_chaos.match(op, index)
+                      if self.net_chaos is not None else [])
+            kinds = {event.kind for event in events}
             status, payload = await self._run_responder(responder,
                                                         worker)
             if DUPLICATE_REQUEST in kinds:

@@ -320,16 +320,21 @@ def evaluate_fault_patterns_batched(
 ) -> List[bool]:
     """Evaluate a batch of fault patterns in one stacked simulation.
 
-    Returns one verdict per pattern, in order, each computed on the
-    extracted per-lane final state — bit-identical to
+    Returns one verdict per pattern, in order — bit-identical to
     :func:`repro.analysis.engine.evaluate_fault_pattern` run serially
-    on the same (canonical) pattern.
+    on the same (canonical) pattern.  An evaluator with a ``lanes``
+    method (basis-term evaluators) scores the whole stack at once;
+    any other evaluator, and every run with an ``invariant``, sees
+    each lane extracted as its own state.
     """
     patterns = list(patterns)
     if not patterns:
         return []
     state = BatchedState(initial_state, len(patterns))
     apply_circuit_with_fault_patterns(state, gadget.circuit, patterns)
+    lanes = getattr(evaluator, "lanes", None)
+    if lanes is not None and invariant is None:
+        return [bool(verdict) for verdict in lanes(state)]
     verdicts: List[bool] = []
     for lane in range(len(patterns)):
         final = state.extract_lane(lane)
