@@ -7,13 +7,15 @@ the intended logical output state is recovered exactly (junk registers
 may hold anything).  This matches the paper's failure notion — a
 gadget fails only when it leaves an *uncorrectable* error behind.
 
-Two evaluator families share that notion.  Overlap evaluators
-(:func:`recovered_overlap_evaluator`) need amplitudes and score one
-extracted state at a time.  Basis-term evaluators
+Two evaluator families share that notion, and both also score a whole
+stacked :class:`~repro.simulators.batched.BatchedState` through a
+``lanes`` method.  Overlap evaluators
+(:class:`RecoveredOverlapEvaluator`: the T, Toffoli and recovery
+gadgets) need amplitudes, so they score extracted lanes, once per
+distinct final state in the stack.  Basis-term evaluators
 (:class:`BasisTermEvaluator`: the N gadget and classical blocks) judge
-computational-basis words only, so they also score a whole stacked
-:class:`~repro.simulators.batched.BatchedState` straight from its index
-array through :meth:`BasisTermEvaluator.lanes`.
+computational-basis words only, so they score every lane straight
+from the stacked index array.
 """
 
 from __future__ import annotations
@@ -33,11 +35,61 @@ from repro.simulators.sparse import SparseState
 _DEFAULT_TOLERANCE = 1e-7
 
 
+class RecoveredOverlapEvaluator:
+    """Accept when ideal recovery of every listed block restores the
+    expected joint block state (overlap within ``tolerance`` of 1).
+
+    ``__call__`` scores one :class:`SparseState`.  :meth:`lanes` scores
+    every lane of a :class:`BatchedState`: it extracts each lane and
+    runs recovery and overlap once per distinct final state in the
+    stack, since faults that leave the same state give the same
+    verdict.  Recovery runs on extracted lanes, never on the stacked
+    state, whose syndrome ancillas would widen every lane at once.
+    """
+
+    def __init__(self, qubit_lists: Sequence[Sequence[int]], code: CssCode,
+                 expected: SparseState, tolerance: float) -> None:
+        self._qubit_lists = [list(qubits) for qubits in qubit_lists]
+        self._all_qubits = [q for qubits in self._qubit_lists
+                            for q in qubits]
+        self._code = code
+        self._expected = expected
+        self._tolerance = tolerance
+
+    def __call__(self, state: SparseState) -> bool:
+        return self._score(state.copy())
+
+    def lanes(self, state: BatchedState) -> List[bool]:
+        """One verdict per lane, equal to ``self(state.extract_lane(i))``.
+
+        Lanes are extracted and scored in order, so an empty lane
+        raises :class:`SimulationError` exactly where a lane-by-lane
+        loop would.
+        """
+        seen: Dict[Tuple[bytes, bytes], bool] = {}
+        verdicts: List[bool] = []
+        for lane in range(state.batch):
+            final = state.extract_lane(lane)
+            key = (final._indices.tobytes(), final._amplitudes.tobytes())
+            verdict = seen.get(key)
+            if verdict is None:
+                verdict = seen[key] = self._score(final)
+            verdicts.append(verdict)
+        return verdicts
+
+    def _score(self, scratch: SparseState) -> bool:
+        """Recover and measure ``scratch`` in place (it is consumed)."""
+        for qubits in self._qubit_lists:
+            apply_perfect_recovery(scratch, qubits, self._code)
+        overlap = scratch.block_overlap(self._all_qubits, self._expected)
+        return overlap > 1.0 - self._tolerance
+
+
 def recovered_overlap_evaluator(gadget: Gadget, code: CssCode,
                                 blocks: Sequence[str],
                                 expected: SparseState,
                                 tolerance: float = _DEFAULT_TOLERANCE
-                                ) -> Callable[[SparseState], bool]:
+                                ) -> RecoveredOverlapEvaluator:
     """Accept when ideal recovery restores the expected block state.
 
     Args:
@@ -48,17 +100,9 @@ def recovered_overlap_evaluator(gadget: Gadget, code: CssCode,
         expected: the ideal joint state of those blocks.
         tolerance: acceptable deviation from overlap 1.
     """
-    qubit_lists = [list(gadget.qubits(name)) for name in blocks]
-    all_qubits: List[int] = [q for qubits in qubit_lists for q in qubits]
-
-    def evaluate(state: SparseState) -> bool:
-        scratch = state.copy()
-        for qubits in qubit_lists:
-            apply_perfect_recovery(scratch, qubits, code)
-        overlap = scratch.block_overlap(all_qubits, expected)
-        return overlap > 1.0 - tolerance
-
-    return evaluate
+    return RecoveredOverlapEvaluator(
+        [gadget.qubits(name) for name in blocks], code, expected,
+        tolerance)
 
 
 #: Status of one basis term (or one block word) under the predicates.

@@ -15,6 +15,7 @@ tracked phase).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
@@ -40,6 +41,12 @@ class PauliString:
         x_bits: tuple of 0/1 flags; bit q set means an X factor on q.
         z_bits: tuple of 0/1 flags; bit q set means a Z factor on q.
         phase: integer mod 4, overall phase i^phase.
+
+    :meth:`support` and :meth:`phase_offset` are computed once per
+    instance and kept outside the fields, so equality and hashing see
+    the four fields only.  They are read with ``getattr``, never
+    through ``__dict__``, which would turn the instance's inline
+    attribute storage into a dict and slow every later field read.
     """
 
     num_qubits: int
@@ -119,10 +126,14 @@ class PauliString:
 
     def support(self) -> Tuple[int, ...]:
         """Qubits carrying a non-identity factor."""
-        return tuple(
-            q for q in range(self.num_qubits)
-            if self.x_bits[q] or self.z_bits[q]
-        )
+        cached = getattr(self, "_support", None)
+        if cached is None:
+            cached = tuple(
+                q for q in range(self.num_qubits)
+                if self.x_bits[q] or self.z_bits[q]
+            )
+            object.__setattr__(self, "_support", cached)
+        return cached
 
     def label(self) -> str:
         """Letter representation without the phase, qubit 0 leftmost."""
@@ -205,11 +216,13 @@ class PauliString:
     def phase_offset(self) -> int:
         """Phase exponent relative to the tensor product of Y/X/Z
         letter matrices (the letters already include Y's i)."""
-        canonical = sum(
-            _CANONICAL_PHASE[(x, z)]
-            for x, z in zip(self.x_bits, self.z_bits)
-        )
-        return (self.phase - canonical) % 4
+        cached = getattr(self, "_phase_offset", None)
+        if cached is None:
+            # _CANONICAL_PHASE is 1 exactly on Y, where both bits are set.
+            canonical = sum(map(operator.and_, self.x_bits, self.z_bits))
+            cached = (self.phase - canonical) % 4
+            object.__setattr__(self, "_phase_offset", cached)
+        return cached
 
     def __repr__(self) -> str:
         prefix = {0: "+", 1: "+i", 2: "-", 3: "-i"}[self.phase_offset()]

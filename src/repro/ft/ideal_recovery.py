@@ -27,33 +27,41 @@ gadget output.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from functools import lru_cache
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from repro.circuits import gates
+from repro.codes.classical.linear import LinearCode
 from repro.codes.quantum.css import CssCode
 from repro.exceptions import DecodingFailure, FaultToleranceError
 from repro.simulators.sparse import SparseState
 
 
-def _syndrome_correction_table(code: CssCode) -> Dict[int, np.ndarray]:
-    """syndrome value (int) -> minimum-weight error bit-vector."""
-    checks = code.classical_code.parity_check
-    table: Dict[int, np.ndarray] = {}
-    for value in range(2**checks.shape[0]):
+@lru_cache(maxsize=32)
+def _syndrome_correction_table(shape: Tuple[int, int], checks: bytes
+                               ) -> Tuple[Tuple[int, ...], ...]:
+    """Minimum-weight error positions for each syndrome value (big-
+    endian over the check rows) of the code with this parity-check
+    matrix, built once per matrix: the matrix fixes the decoder."""
+    rows, n = shape
+    classical = LinearCode(parity_check=np.frombuffer(
+        checks, dtype=np.uint8).reshape(shape))
+    table: List[Tuple[int, ...]] = []
+    for value in range(2**rows):
         syndrome = np.array(
-            [(value >> (checks.shape[0] - 1 - r)) & 1
-             for r in range(checks.shape[0])],
+            [(value >> (rows - 1 - r)) & 1 for r in range(rows)],
             dtype=np.uint8,
         )
         try:
-            table[value] = code.classical_code.error_for_syndrome(syndrome)
+            error = classical.error_for_syndrome(syndrome)
         except DecodingFailure:
             # Outside the correction radius: leave the block untouched;
             # the overlap check will report the failure.
-            table[value] = np.zeros(code.n, dtype=np.uint8)
-    return table
+            error = np.zeros(n, dtype=np.uint8)
+        table.append(tuple(int(p) for p in np.nonzero(error)[0]))
+    return tuple(table)
 
 
 def _apply_x_recovery(state: SparseState, block: Sequence[int],
@@ -72,20 +80,23 @@ def _apply_x_recovery(state: SparseState, block: Sequence[int],
         for position in np.nonzero(checks[row])[0]:
             row_parity ^= bits[int(position)]
         syndrome = (syndrome << 1) | row_parity
-    # Correction mask (plus syndrome record in the fresh ancillas, to
-    # keep the map injective — a unitary permutation of basis states)
-    # as one Python-int mask per possible syndrome value.
-    table = _syndrome_correction_table(code)
-    mask_for: List[int] = [0] * (2**num_checks)
-    for value, error in table.items():
+    # One mask per syndrome value: the correction plus the syndrome
+    # record in the fresh ancillas, which keeps the map injective — a
+    # unitary permutation of basis states.  Each term XORs the row its
+    # syndrome selects.
+    top = state.num_qubits - 1
+    masks: List[int] = []
+    table = _syndrome_correction_table(checks.shape,
+                                       checks.astype(np.uint8).tobytes())
+    for value, positions in enumerate(table):
         mask = 0
-        for position in np.nonzero(error)[0]:
-            mask |= 1 << (state.num_qubits - 1 - block[int(position)])
+        for position in positions:
+            mask |= 1 << (top - block[position])
         for row in range(num_checks):
             if (value >> (num_checks - 1 - row)) & 1:
-                mask |= 1 << (state.num_qubits - 1 - ancillas[row])
-        mask_for[value] = mask
-    state.xor_row_masks([mask_for[int(s)] for s in syndrome])
+                mask |= 1 << (top - ancillas[row])
+        masks.append(mask)
+    state.xor_row_masks(masks, syndrome)
 
 
 def apply_perfect_recovery(state: SparseState, block: Sequence[int],

@@ -323,9 +323,9 @@ def evaluate_fault_patterns_batched(
     Returns one verdict per pattern, in order — bit-identical to
     :func:`repro.analysis.engine.evaluate_fault_pattern` run serially
     on the same (canonical) pattern.  An evaluator with a ``lanes``
-    method (basis-term evaluators) scores the whole stack at once;
-    any other evaluator, and every run with an ``invariant``, sees
-    each lane extracted as its own state.
+    method (basis-term and overlap evaluators) scores the whole stack
+    at once; any other evaluator, and every run with an
+    ``invariant``, sees each lane extracted as its own state.
     """
     patterns = list(patterns)
     if not patterns:

@@ -364,16 +364,23 @@ class SparseState:
                 raise SimulationError("conditioned gate in unitary context")
             self.apply_gate(op.gate, [mapping[q] for q in op.qubits])
 
-    def xor_row_masks(self, masks: Sequence[int]) -> None:
-        """XOR a per-term Python-int mask into each basis index.
+    def xor_row_masks(self, masks: Sequence[int],
+                      selector: np.ndarray) -> None:
+        """XOR ``masks[selector[t]]`` into the basis index of term t.
 
-        Used by the ideal-recovery evaluator to apply per-branch
-        corrections as one vectorised basis permutation.
+        ``masks`` is a small table of Python-int masks and ``selector``
+        one table row per term.  Used by the ideal-recovery evaluator
+        to apply per-branch corrections (one mask per syndrome value)
+        as one vectorised basis permutation.
         """
-        if len(masks) != self.num_terms:
-            raise SimulationError("need one mask per term")
-        mask_matrix = self._index_array(masks)
-        self._indices = self._indices ^ mask_matrix
+        selector = np.asarray(selector, dtype=np.int64)
+        if selector.shape != (self.num_terms,):
+            raise SimulationError("need one selector per term")
+        if selector.size and (selector.min() < 0
+                              or selector.max() >= len(masks)):
+            raise SimulationError("selector out of range of the masks")
+        table = self._index_array(masks)
+        self._indices = self._indices ^ table[selector]
         self._merge()
 
     def _merge(self) -> None:
@@ -589,6 +596,24 @@ class SparseState:
             values = (values << 1) | self._bit(qubit)
         return values
 
+    def _coefficients_at(self, values: np.ndarray) -> np.ndarray:
+        """This state's amplitude at each listed basis index, 0 where it
+        has no term (a sorted-key lookup; registers of <= 63 qubits).
+
+        Of duplicate indices the last term wins, as in a dict built
+        from :meth:`terms`.
+        """
+        keys = self._indices[:, 0].astype(np.int64)
+        amplitudes = self._amplitudes
+        if not np.all(keys[1:] > keys[:-1]):
+            order = np.argsort(keys, kind="stable")
+            keys, amplitudes = keys[order], amplitudes[order]
+        slot = np.searchsorted(keys, values, side="right") - 1
+        hit = (slot >= 0) & (keys[np.maximum(slot, 0)] == values)
+        out = np.zeros(values.shape[0], dtype=np.complex128)
+        out[hit] = amplitudes[slot[hit]]
+        return out
+
     def block_overlap(self, block_qubits: Sequence[int],
                       block_state: "SparseState") -> float:
         """<psi| (|phi><phi|_block (x) I_rest) |psi>.
@@ -602,19 +627,13 @@ class SparseState:
             raise SimulationError("block state size mismatch")
         for qubit in block_qubits:
             self._check_qubit(qubit)
-        phi = {index: complex(amplitude)
-               for index, amplitude in zip(block_state.iter_ints(),
-                                           block_state._amplitudes)}
         block_values = self._packed_values(block_qubits)
         # Rest key: the full index with the block bits cleared.
         rest = self._indices.copy()
         for qubit in block_qubits:
             col, _, mask = self._position(qubit)
             rest[:, col] &= ~mask
-        coefficients = np.array(
-            [phi.get(int(value), 0.0) for value in block_values],
-            dtype=np.complex128,
-        )
+        coefficients = block_state._coefficients_at(block_values)
         contributing = coefficients != 0.0
         if not np.any(contributing):
             return 0.0

@@ -141,6 +141,20 @@ class TestPhases:
         assert repr(PauliString.from_label("X")) == "+X"
         assert repr(PauliString.from_label("X", phase=2)) == "-X"
 
+    def test_cached_queries_leave_equality_to_the_fields(self):
+        import pickle
+
+        queried = PauliString.from_label("IYZ", phase=2)
+        fresh = PauliString.from_label("IYZ", phase=2)
+        assert queried.support() == (1, 2)
+        assert queried.phase_offset() == 2
+        assert queried == fresh and hash(queried) == hash(fresh)
+        assert repr(queried) == repr(fresh) == "-IYZ"
+        assert queried != fresh.with_phase(0)
+        clone = pickle.loads(pickle.dumps(queried))
+        assert clone == fresh and clone.support() == (1, 2)
+        assert clone.phase_offset() == 2
+
 
 class TestEnumerations:
     def test_single_qubit_paulis(self):

@@ -131,15 +131,15 @@ class TestWideRegisterOps:
     def test_xor_row_masks(self):
         state = SparseState.from_terms(3, {0b000: 1.0, 0b100: 1.0})
         # Flip the last bit of the 0b100 term only.
-        masks = []
+        selector = []
         for index in state.iter_ints():
-            masks.append(0b001 if index == 0b100 else 0)
-        state.xor_row_masks(masks)
+            selector.append(1 if index == 0b100 else 0)
+        state.xor_row_masks([0, 0b001], selector)
         assert set(state.terms()) == {0b000, 0b101}
 
     def test_xor_row_masks_length_checked(self):
         with pytest.raises(SimulationError):
-            SparseState(2).xor_row_masks([0, 0])
+            SparseState(2).xor_row_masks([0, 0], [0, 0])
 
 
 class TestWidePauliAndOverlap:
