@@ -20,9 +20,8 @@ import time
 
 import pytest
 
-from repro.analysis import n_gadget_evaluator
+from repro.analysis import gadget_locations, n_gadget_evaluator
 from repro.analysis.engine import run_malignant_pairs, run_monte_carlo
-from repro.analysis.montecarlo import _default_locations
 from repro.codes import SteaneCode
 from repro.ft import build_n_gadget, sparse_coset_state
 from repro.noise import NoiseModel
@@ -48,7 +47,7 @@ def _steane_n():
 def test_batched_speedup(benchmark):
     """Serial vs lane-stacked evaluation on the threshold sweep."""
     gadget, initial, evaluator = _steane_n()
-    locations = _default_locations(gadget)
+    locations = gadget_locations(gadget)
     noise = NoiseModel.uniform(0.002)
     mc_trials = SAMPLES * 2
 

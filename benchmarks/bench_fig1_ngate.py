@@ -18,11 +18,11 @@ import pytest
 from repro.analysis import (
     exhaustive_single_faults_sparse,
     fit_power_law,
+    gadget_locations,
     gadget_monte_carlo,
     n_gadget_evaluator,
     sample_malignant_pairs,
 )
-from repro.analysis.montecarlo import _default_locations
 from repro.codes import SteaneCode
 from repro.ft import build_n_gadget, sparse_coset_state
 from repro.noise import NoiseModel
@@ -47,7 +47,7 @@ def context():
 
 def test_fig1_report(benchmark, context):
     code, gadget, initial, evaluator = context
-    locations = _default_locations(gadget)
+    locations = gadget_locations(gadget)
 
     def run_experiment():
         failures = exhaustive_single_faults_sparse(

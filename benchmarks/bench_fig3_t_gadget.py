@@ -17,11 +17,11 @@ import pytest
 
 from repro.analysis import (
     fit_power_law,
+    gadget_locations,
     gadget_monte_carlo,
     recovered_overlap_evaluator,
     sample_malignant_pairs,
 )
-from repro.analysis.montecarlo import _default_locations
 from repro.codes import SteaneCode
 from repro.ft import (
     build_t_gadget,
@@ -53,7 +53,7 @@ def context():
 
 def test_fig3_report(benchmark, context):
     code, gadget, initial, evaluator = context
-    locations = _default_locations(gadget)
+    locations = gadget_locations(gadget)
 
     def run_experiment():
         clean = initial.copy()

@@ -16,9 +16,11 @@ import itertools
 
 import pytest
 
-from repro.analysis import recovered_overlap_evaluator, \
-    sample_malignant_pairs
-from repro.analysis.montecarlo import _default_locations
+from repro.analysis import (
+    gadget_locations,
+    recovered_overlap_evaluator,
+    sample_malignant_pairs,
+)
 from repro.codes import SteaneCode, TrivialCode
 from repro.ft import (
     build_toffoli_gadget,
@@ -72,7 +74,7 @@ def test_fig4_steane_counting(benchmark):
     small = build_toffoli_gadget(trivial)
 
     def run_experiment():
-        locations = _default_locations(gadget)
+        locations = gadget_locations(gadget)
         from repro.noise import count_locations
 
         counts = count_locations(

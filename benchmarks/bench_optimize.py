@@ -13,16 +13,16 @@ Scale down with ``BENCH_OPTIMIZE_TRIALS`` for smoke runs (the
 reduction assertions hold at any scale; they are structural).
 """
 
+import dataclasses
 import os
 import time
 
-from repro.analysis import n_gadget_evaluator
+from repro.analysis import gadget_locations, n_gadget_evaluator
 from repro.analysis.engine import run_monte_carlo
 from repro.codes import SteaneCode
 from repro.ft import build_n_gadget, sparse_coset_state
 from repro.ft.recovery import build_recovery_gadget
 from repro.ft.t_gadget import build_t_gadget
-from repro.noise.locations import count_locations
 from repro.optimize import (
     clear_optimize_cache,
     gadget_pipeline,
@@ -56,8 +56,9 @@ def test_optimize_reduction(benchmark):
             result = optimize_circuit(gadget.circuit, pipeline,
                                       use_cache=False)
             elapsed = time.perf_counter() - start
-            before = count_locations(gadget.circuit)
-            after = count_locations(result.circuit)
+            before = _location_counts(gadget)
+            after = _location_counts(
+                dataclasses.replace(gadget, circuit=result.circuit))
             rows.append({
                 "gadget": name,
                 "before": before,
@@ -127,6 +128,15 @@ def test_optimize_reduction(benchmark):
         },
         "best_reduction_pct": best,
     })
+
+
+def _location_counts(gadget):
+    """Fault locations by kind, over the engine's location set."""
+    counts = {"input": 0, "gate": 0, "delay": 0}
+    for location in gadget_locations(gadget):
+        counts[location.kind] += 1
+    counts["total"] = sum(counts.values())
+    return counts
 
 
 def _steane_n_triple(code):

@@ -59,7 +59,7 @@ def test_trials_to_decision(benchmark):
             outcome = run_sequential_monte_carlo(
                 gadget, initial, evaluator, NoiseModel.uniform(p),
                 p0=p0, p1=p1, max_trials=FIXED_BUDGET, seed=SEED,
-                batch_size=BATCH,
+                chunk_size=BATCH,
             )
             verdict = outcome.verdict
             verdicts.append(verdict)
@@ -118,7 +118,7 @@ def test_adaptive_sweep_vs_uniform(benchmark):
     def run_experiment():
         adaptive = adaptive_sweep_p(
             gadget, initial, evaluator, p_values,
-            total_trials=SWEEP_BUDGET, seed=SEED, batch_size=BATCH,
+            total_trials=SWEEP_BUDGET, seed=SEED, chunk_size=BATCH,
         )
         uniform = sweep_p(
             gadget, initial, evaluator, p_values, trials=per_point,

@@ -20,11 +20,11 @@ import pytest
 from repro.analysis import (
     GadgetFaultAnalyzer,
     exhaustive_single_faults_sparse,
+    gadget_locations,
     n_gadget_evaluator,
     sample_malignant_pairs,
     sampled_threshold_report,
 )
-from repro.analysis.montecarlo import _default_locations
 from repro.circuits import Circuit, PauliString, gates
 from repro.codes import SteaneCode
 from repro.ft import build_n_gadget, build_recovery_gadget, \
@@ -52,7 +52,7 @@ def test_threshold_table(benchmark):
         stats_lines = []
         for index, variant in enumerate(("direct", "voted")):
             gadget, initial, evaluator = analyze_n(variant)
-            locations = _default_locations(gadget)
+            locations = gadget_locations(gadget)
             threshold_report = sampled_threshold_report(
                 gadget, initial, evaluator, samples=400,
                 seed=61 + index, locations=locations,
@@ -183,7 +183,7 @@ def test_gadget_inventory(benchmark):
         ]
         rows = []
         for gadget in gadgets:
-            locations = _default_locations(gadget)
+            locations = gadget_locations(gadget)
             kinds = {"gate": 0, "input": 0, "delay": 0}
             for loc in locations:
                 kinds[loc.kind] += 1

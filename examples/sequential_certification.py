@@ -11,7 +11,7 @@ same budget-awareness across a p grid.
 
 Run:  PYTHONPATH=src python examples/sequential_certification.py
       [--p P] [--p0 P0] [--p1 P1] [--alpha A] [--beta B]
-      [--max-trials N] [--batch SIZE] [--seed S]
+      [--max-trials N] [--chunk-size N] [--batch-size N] [--seed S]
       [--method sprt|confidence-sequence] [--trivial] [--out DIR]
       [--checkpoint-dir DIR] [--no-resume]
 
@@ -60,9 +60,10 @@ def main(argv=None) -> int:
                         help="false-accept rate")
     parser.add_argument("--max-trials", type=int, default=20000,
                         help="trial budget ceiling")
-    parser.add_argument("--batch", type=int, default=256,
-                        help="trials per sequential batch")
-    parser.add_argument("--eval-batch-size", type=int, default=1,
+    parser.add_argument("--chunk-size", type=int, default=256,
+                        help="trials per sequential batch (part of the "
+                             "seed contract)")
+    parser.add_argument("--batch-size", type=int, default=1,
                         help="patterns per stacked simulation (>1 "
                              "routes evaluation through the "
                              "vectorized batched path; verdicts are "
@@ -106,8 +107,8 @@ def main(argv=None) -> int:
         gadget, initial, evaluator, NoiseModel.uniform(args.p),
         p0=args.p0, p1=args.p1, alpha=args.alpha, beta=args.beta,
         max_trials=args.max_trials, seed=args.seed,
-        batch_size=args.batch, method=args.method,
-        eval_batch_size=args.eval_batch_size,
+        chunk_size=args.chunk_size, method=args.method,
+        batch_size=args.batch_size,
         checkpoint=checkpoint, resume=args.resume,
     )
     elapsed = time.time() - start
@@ -126,7 +127,7 @@ def main(argv=None) -> int:
     else:
         print(f"budget exhausted at {verdict.trials} trials")
     print(f"elapsed: {elapsed:.1f}s "
-          f"({outcome.batches} batches of {args.batch})")
+          f"({outcome.batches} batches of {args.chunk_size})")
 
     if args.out:
         out = Path(args.out)
@@ -135,7 +136,7 @@ def main(argv=None) -> int:
         payload["p"] = args.p
         payload["gadget"] = gadget.name
         payload["elapsed_seconds"] = elapsed
-        payload["eval_batch_size"] = args.eval_batch_size
+        payload["batch_size"] = args.batch_size
         (out / "sequential_verdict.json").write_text(
             json.dumps(payload, indent=2) + "\n")
         print(f"verdict written to {out}/sequential_verdict.json")

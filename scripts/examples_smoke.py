@@ -40,7 +40,7 @@ SMOKE_ARGS = {
     ],
     "sequential_certification.py": [
         "--trivial", "--p", "0.001", "--max-trials", "512",
-        "--batch", "128",
+        "--chunk-size", "128",
     ],
     "certification_service.py": [
         "--jobs", "4", "--workers", "0", "--trials", "40",

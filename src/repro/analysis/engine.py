@@ -66,6 +66,7 @@ import multiprocessing
 import os
 import time
 from collections import OrderedDict
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import (
     Callable,
@@ -157,74 +158,21 @@ def _coerce_count(value, name: str,
     return value
 
 
-def _coerce_chunk_size(value) -> int:
-    """Strictly validate ``chunk_size`` (part of the seed contract)."""
+def _coerce_size(value, name: str) -> int:
+    """Strictly validate a size knob (``workers``, ``chunk_size``,
+    ``batch_size``): a positive integer, never rounded silently — a
+    rounded ``chunk_size`` would move the seeded stream, and any
+    rounding would hide a corrupted config."""
     if isinstance(value, bool) or not isinstance(
             value, (int, np.integer)):
         raise AnalysisError(
-            f"chunk_size must be an integer, got {value!r} "
-            f"({type(value).__name__}); it is part of the "
-            f"determinism contract and cannot be rounded silently"
-        )
-    value = int(value)
-    if value < 1:
-        raise AnalysisError(
-            f"chunk_size must be >= 1, got {value}"
-        )
-    return value
-
-
-def _coerce_batch_size(value) -> int:
-    """Strictly validate the evaluation ``batch_size`` knob.
-
-    Unlike ``chunk_size`` this is *not* part of the determinism
-    contract — verdicts are bit-identical for every batch size — but a
-    silent rounding would still hide a corrupted config, so it gets
-    the same strict treatment.
-    """
-    if isinstance(value, bool) or not isinstance(
-            value, (int, np.integer)):
-        raise AnalysisError(
-            f"batch_size must be a positive integer, got {value!r} "
+            f"{name} must be a positive integer, got {value!r} "
             f"({type(value).__name__})"
         )
     value = int(value)
     if value < 1:
-        raise AnalysisError(
-            f"batch_size must be >= 1, got {value}"
-        )
+        raise AnalysisError(f"{name} must be >= 1, got {value}")
     return value
-
-
-def _coerce_workers(value) -> int:
-    """Strictly validate an explicit worker count."""
-    if isinstance(value, bool) or not isinstance(
-            value, (int, np.integer)):
-        raise AnalysisError(
-            f"workers must be a positive integer, got {value!r} "
-            f"({type(value).__name__})"
-        )
-    value = int(value)
-    if value < 1:
-        raise AnalysisError(
-            f"workers must be >= 1, got {value}; pass workers=None "
-            f"(with parallel=False) for in-process evaluation"
-        )
-    return value
-
-
-def resolve_workers(parallel: bool, workers: Optional[int]) -> int:
-    """Shared resolution of the public ``parallel=``/``workers=`` knobs.
-
-    An explicit ``workers`` must be a positive integer — zero,
-    negative or fractional counts raise :class:`AnalysisError` instead
-    of falling through to an opaque ``multiprocessing`` failure.
-    """
-    if workers is not None:
-        return _coerce_workers(workers)
-    if parallel:
-        return max(1, os.cpu_count() or 1)
-    return 1
 
 
 def _fault_sort_key(fault: Fault) -> Tuple[int, Tuple[int, ...],
@@ -976,59 +924,6 @@ def sample_pair_chunk(choices: List[Tuple[PauliString, ...]],
         pattern_counts[key] = pattern_counts.get(key, 0) + 1
 
 
-def _open_journal(checkpoint, resume: bool, seed: Optional[int],
-                  memoize: bool,
-                  cache: Optional[FaultPatternCache],
-                  fingerprint: Dict[str, object],
-                  stats: EngineStats,
-                  needs_seed: bool = True,
-                  ) -> Tuple[Optional[CheckpointStore],
-                             Optional[FaultPatternCache]]:
-    """Shared ``checkpoint=``/``resume=`` handling for the run_* entry
-    points.
-
-    Returns the opened store (or None) and the cache to use —
-    checkpointing requires a cache, so one is created when the caller
-    did not supply one.  On resume the journal's verdicts are
-    replayed into the cache after the fingerprint check; on a fresh
-    run the directory is cleared and a new header written.  Verdicts
-    replay whatever batch size wrote them: the fingerprint carries no
-    batch size, because lanes are bit-identical to one-pattern runs.
-    """
-    store = as_store(checkpoint)
-    if store is None:
-        return None, cache
-    if needs_seed and seed is None:
-        raise AnalysisError(
-            "checkpointing requires an explicit seed: an unseeded run "
-            "draws OS entropy and cannot be resumed bit-identically"
-        )
-    if not memoize:
-        raise AnalysisError(
-            "checkpointing requires memoize=True (the journal replays "
-            "verdicts through the fault-pattern cache)"
-        )
-    if cache is None:
-        cache = FaultPatternCache()
-    if resume and store.exists():
-        # Journals written before lane stacking became the default
-        # stamp batched runs with an ``eval_path`` marker that never
-        # changed a verdict; accept whatever value they recorded.
-        recorded = store.load_header().get("fingerprint") or {}
-        if "eval_path" in recorded:
-            fingerprint = dict(fingerprint,
-                               eval_path=recorded["eval_path"])
-        store.check_fingerprint(fingerprint)
-        entries = store.load_verdicts()
-        for pattern, verdict in entries:
-            cache.store(pattern, verdict)
-        stats.resumed_verdicts = len(entries)
-    else:
-        store.clear()
-        store.write_header(fingerprint)
-    return store, cache
-
-
 def _apply_optimizer(gadget: Gadget, optimize,
                      locations) -> Tuple[Gadget, Optional[str]]:
     """Resolve the ``optimize=`` knob for a gadget workload.
@@ -1056,6 +951,181 @@ def _apply_optimizer(gadget: Gadget, optimize,
             "optimized gadget instead"
         )
     return optimize_gadget(gadget, pipeline), pipeline.marker
+
+
+def _score(pattern_counts: Dict[FaultPattern, int],
+           verdict_map: Dict[FaultPattern, bool]
+           ) -> Tuple[int, Dict[int, int]]:
+    """Failures among sampled patterns, in total and by fault count."""
+    failures = 0
+    failures_by_count: Dict[int, int] = {}
+    for pattern, multiplicity in pattern_counts.items():
+        if not verdict_map[pattern]:
+            failures += multiplicity
+            count = len(pattern)
+            failures_by_count[count] = \
+                failures_by_count.get(count, 0) + multiplicity
+    return failures, failures_by_count
+
+
+class _Run:
+    """The frame every sampling runner shares.
+
+    A runner builds one ``_Run``, stamps its fingerprint through
+    :meth:`open_journal`, samples, resolves verdicts through
+    :meth:`resolve` and closes with :meth:`finish`; only its sampling,
+    its fingerprint fields and its result type are its own.  The frame
+    owns the optimizer, the default locations, the knob coercion, the
+    verdict cache, the journal, the evaluation context and the
+    interrupt cursor, so the fixed-budget runners here and the
+    sequential runners of :mod:`repro.analysis.sequential` read and
+    write journals the same way.
+
+    ``chunk_size`` is the seed-contract chunk (trials per RNG stream
+    and patterns per evaluation chunk); ``batch_size`` the lane-stack
+    width, which never changes a verdict.  With ``memoize`` a verdict
+    cache is created when the caller supplies none, so one run never
+    simulates a pattern twice.
+    """
+
+    def __init__(self, gadget: Gadget, initial_state: SparseState,
+                 evaluator: Callable[[SparseState], bool], *,
+                 locations: Optional[Sequence[FaultLocation]],
+                 workers: int, chunk_size: int, batch_size: int,
+                 memoize: bool, cache: Optional[FaultPatternCache],
+                 invariant: Optional[Callable[[SparseState], None]],
+                 runtime: Optional[RuntimePolicy],
+                 progress: Optional[Callable[[ProgressEvent], None]],
+                 optimize=False) -> None:
+        from repro.analysis.montecarlo import gadget_locations
+
+        self.start = time.perf_counter()
+        self.gadget, self.optimizer = _apply_optimizer(
+            gadget, optimize, locations)
+        self.locations = list(gadget_locations(self.gadget)
+                              if locations is None else locations)
+        self.workers = _coerce_size(workers, "workers")
+        self.chunk_size = _coerce_size(chunk_size, "chunk_size")
+        self.context = _EvalContext(
+            self.gadget, initial_state, evaluator, invariant=invariant,
+            policy=runtime,
+            batch_size=_coerce_size(batch_size, "batch_size"))
+        self.memoize = memoize
+        self.cache = cache if cache is not None or not memoize \
+            else FaultPatternCache()
+        self.progress = progress
+        self.stats = EngineStats(workers=1)
+        self.store: Optional[CheckpointStore] = None
+
+    def open_journal(self, checkpoint, resume: bool,
+                     seed: Optional[int], fingerprint: Dict[str, object],
+                     needs_seed: bool = True) -> None:
+        """Open ``checkpoint`` (a path, a store or ``None``).
+
+        On resume the journal's verdicts are replayed into the cache
+        after the fingerprint check; on a fresh run the directory is
+        cleared and a new header written.  Verdicts replay whatever
+        batch size wrote them: the fingerprint carries no batch size,
+        because lanes are bit-identical to one-pattern runs.  An
+        optimized run stamps its pipeline marker into the fingerprint,
+        so optimized and unoptimized journals never mix.
+        """
+        if self.optimizer is not None:
+            fingerprint["optimizer"] = self.optimizer
+        store = as_store(checkpoint)
+        if store is None:
+            return
+        if needs_seed and seed is None:
+            raise AnalysisError(
+                "checkpointing requires an explicit seed: an unseeded "
+                "run draws OS entropy and cannot be resumed "
+                "bit-identically"
+            )
+        if not self.memoize:
+            raise AnalysisError(
+                "checkpointing requires memoize=True (the journal "
+                "replays verdicts through the fault-pattern cache)"
+            )
+        if resume and store.exists():
+            # Journals written before lane stacking became the default
+            # stamp batched runs with an ``eval_path`` marker that
+            # never changed a verdict; accept whatever they recorded.
+            recorded = store.load_header().get("fingerprint") or {}
+            if "eval_path" in recorded:
+                fingerprint = dict(fingerprint,
+                                   eval_path=recorded["eval_path"])
+            store.check_fingerprint(fingerprint)
+            entries = store.load_verdicts()
+            for pattern, verdict in entries:
+                self.cache.store(pattern, verdict)
+            self.stats.resumed_verdicts = len(entries)
+        else:
+            store.clear()
+            store.write_header(fingerprint)
+        self.store = store
+
+    def sample(self, seed: Optional[int], total: int,
+               draw: Callable[[np.random.Generator, int], None],
+               stream_key: Sequence[int] = ()) -> int:
+        """Draw ``total`` items chunk by chunk; returns the chunk count.
+
+        ``draw(rng, length)`` folds one chunk's samples into the
+        runner's tallies.
+        """
+        start = time.perf_counter()
+        chunks = _spawn_chunks(seed, total, self.chunk_size,
+                               stream_key=stream_key)
+        self.stats.chunks = len(chunks)
+        done = 0
+        for index, (length, child) in enumerate(chunks):
+            draw(np.random.default_rng(child), length)
+            done += length
+            if self.progress is not None:
+                self.progress(ProgressEvent(
+                    phase="sample", done=done, total=total,
+                    chunk_index=index, chunks_total=len(chunks),
+                    elapsed_seconds=time.perf_counter() - start,
+                ))
+        self.stats.sample_seconds = time.perf_counter() - start
+        return len(chunks)
+
+    def resolve(self, pattern_counts: Dict[FaultPattern, int]
+                ) -> Dict[FaultPattern, bool]:
+        """Verdicts for ``pattern_counts``, journaled chunk by chunk."""
+        return _resolve_verdicts(
+            self.context, pattern_counts, self.memoize, self.cache,
+            self.workers, self.chunk_size, self.stats, self.progress,
+            journal=self.store)
+
+    @contextmanager
+    def interruptible(self, cursor: Callable[[], Dict[str, object]]):
+        """Mark the journal's ``cursor`` interrupted on Ctrl-C.
+
+        Completed chunks are already journaled; the mark lets the
+        resume path (and the operator) see the stop was clean.
+        """
+        try:
+            yield
+        except KeyboardInterrupt:
+            if self.store is not None:
+                self.store.write_state(
+                    "cursor", dict(cursor(), interrupted=True))
+            raise
+
+    def resolve_all(self, pattern_counts: Dict[FaultPattern, int],
+                    cursor: Dict[str, object]
+                    ) -> Dict[FaultPattern, bool]:
+        """The fixed-budget runners' one evaluation: journal the
+        sampling ``cursor`` (if any), then resolve every pattern."""
+        if self.store is not None and cursor:
+            self.store.write_state("cursor", cursor)
+        with self.interruptible(lambda: cursor):
+            return self.resolve(pattern_counts)
+
+    def finish(self, summary: Dict[str, object]) -> None:
+        self.stats.total_seconds = time.perf_counter() - self.start
+        if self.store is not None:
+            self.store.finalize(summary)
 
 
 def run_monte_carlo(gadget: Gadget,
@@ -1120,12 +1190,8 @@ def run_monte_carlo(gadget: Gadget,
     so an optimized journal refuses to resume an unoptimized run and
     vice versa.
     """
-    from repro.analysis.montecarlo import (
-        GadgetMonteCarloResult,
-        _default_locations,
-    )
+    from repro.analysis.montecarlo import GadgetMonteCarloResult
 
-    start = time.perf_counter()
     if not noise.samplable:
         raise AnalysisError(
             f"{type(noise).__name__} has no stochastic Pauli "
@@ -1133,23 +1199,21 @@ def run_monte_carlo(gadget: Gadget,
             "it exactly with repro.noise.injection."
             "run_with_coherent_noise or sample its Pauli twirl"
         )
-    gadget, optimizer_marker = _apply_optimizer(gadget, optimize,
-                                                locations)
-    if locations is None:
-        locations = _default_locations(gadget)
-    locations = list(locations)
     trials = _coerce_count(trials, "trials")
-    workers = _coerce_workers(workers)
-    chunk_size = _coerce_chunk_size(chunk_size)
-    batch_size = _coerce_batch_size(batch_size)
-    stats = EngineStats(trials=trials, workers=1)
+    run = _Run(gadget, initial_state, evaluator, locations=locations,
+               workers=workers, chunk_size=chunk_size,
+               batch_size=batch_size, memoize=memoize, cache=cache,
+               invariant=invariant, runtime=runtime, progress=progress,
+               optimize=optimize)
+    gadget, locations = run.gadget, run.locations
+    run.stats.trials = trials
     fingerprint = {
         "workload": "monte_carlo",
         "gadget": gadget.name,
         "locations": len(locations),
         "seed": seed,
         "trials": trials,
-        "chunk_size": chunk_size,
+        "chunk_size": run.chunk_size,
         "p_gate": float(noise.p_gate),
         "p_input": float(noise.p_input),
         "p_delay": float(noise.p_delay),
@@ -1160,82 +1224,33 @@ def run_monte_carlo(gadget: Gadget,
         # fingerprints stay exactly as before so existing journals
         # keep resuming.
         fingerprint["model"] = repr(noise.fingerprint())
-    if optimizer_marker is not None:
-        # Unoptimized fingerprints stay byte-identical; optimized
-        # journals can never silently mix with unoptimized ones (the
-        # location sets differ).
-        fingerprint["optimizer"] = optimizer_marker
-    store, cache = _open_journal(
-        checkpoint, resume, seed, memoize, cache, fingerprint, stats)
+    run.open_journal(checkpoint, resume, seed, fingerprint)
     probs, choices, after_ops = _location_setup(noise, gadget, locations)
-
     histogram: Dict[int, int] = {}
     pattern_counts: Dict[FaultPattern, int] = {}
-    sample_start = time.perf_counter()
-    chunks = _spawn_chunks(seed, trials, chunk_size,
-                           stream_key=noise.stream_key())
-    stats.chunks = len(chunks)
-    sampled_trials = 0
-    for chunk_index, (length, child) in enumerate(chunks):
-        rng = np.random.default_rng(child)
-        sample_fault_chunk(noise, gadget, locations, probs, choices,
-                           after_ops, rng, length, histogram,
-                           pattern_counts)
-        sampled_trials += length
-        if progress is not None:
-            progress(ProgressEvent(
-                phase="sample", done=sampled_trials, total=trials,
-                chunk_index=chunk_index, chunks_total=len(chunks),
-                elapsed_seconds=time.perf_counter() - sample_start,
-            ))
-    stats.sample_seconds = time.perf_counter() - sample_start
-    if store is not None:
-        store.write_state("cursor", {
-            "sample_chunks_done": len(chunks),
-            "distinct_patterns": len(pattern_counts),
-        })
-
-    context = _EvalContext(gadget, initial_state, evaluator,
-                           invariant=invariant, policy=runtime,
-                           batch_size=batch_size)
-    try:
-        verdict_map = _resolve_verdicts(context, pattern_counts,
-                                        memoize, cache, workers,
-                                        chunk_size, stats, progress,
-                                        journal=store)
-    except KeyboardInterrupt:
-        # Completed chunks are already journaled; mark the interrupt
-        # so the resume path (and the operator) can see it was clean.
-        if store is not None:
-            store.write_state("cursor", {
-                "sample_chunks_done": len(chunks),
-                "distinct_patterns": len(pattern_counts),
-                "interrupted": True,
-            })
-        raise
-
-    failures = 0
-    failures_by_count: Dict[int, int] = {}
-    for pattern, multiplicity in pattern_counts.items():
-        if not verdict_map[pattern]:
-            failures += multiplicity
-            count = len(pattern)
-            failures_by_count[count] = \
-                failures_by_count.get(count, 0) + multiplicity
-    stats.total_seconds = time.perf_counter() - start
-    if store is not None:
-        store.finalize({
-            "trials": trials,
-            "failures": failures,
-            "distinct_patterns": len(pattern_counts),
-        })
+    chunks = run.sample(
+        seed, trials,
+        lambda rng, length: sample_fault_chunk(
+            noise, gadget, locations, probs, choices, after_ops, rng,
+            length, histogram, pattern_counts),
+        stream_key=noise.stream_key())
+    verdict_map = run.resolve_all(pattern_counts, {
+        "sample_chunks_done": chunks,
+        "distinct_patterns": len(pattern_counts),
+    })
+    failures, failures_by_count = _score(pattern_counts, verdict_map)
+    run.finish({
+        "trials": trials,
+        "failures": failures,
+        "distinct_patterns": len(pattern_counts),
+    })
     return GadgetMonteCarloResult(
         p=noise.p_gate,
         trials=trials,
         failures=failures,
         failures_by_fault_count=failures_by_count,
         fault_count_histogram=histogram,
-        engine_stats=stats,
+        engine_stats=run.stats,
     )
 
 
@@ -1268,93 +1283,47 @@ def run_malignant_pairs(gadget: Gadget,
     this workload is evaluation-dominated and gains the most from
     lane stacking.
     """
-    from repro.analysis.montecarlo import (
-        MalignantPairSample,
-        _default_locations,
-    )
+    from repro.analysis.montecarlo import MalignantPairSample
 
-    start = time.perf_counter()
-    gadget, optimizer_marker = _apply_optimizer(gadget, optimize,
-                                                locations)
-    if locations is None:
-        locations = _default_locations(gadget)
-    locations = list(locations)
     samples = _coerce_count(samples, "samples")
-    if samples > 0 and len(locations) < 2:
+    run = _Run(gadget, initial_state, evaluator, locations=locations,
+               workers=workers, chunk_size=chunk_size,
+               batch_size=batch_size, memoize=memoize, cache=cache,
+               invariant=invariant, runtime=runtime, progress=progress,
+               optimize=optimize)
+    gadget, count = run.gadget, len(run.locations)
+    if samples > 0 and count < 2:
         raise AnalysisError(
             "malignant-pair sampling needs at least two fault locations"
         )
-    workers = _coerce_workers(workers)
-    chunk_size = _coerce_chunk_size(chunk_size)
-    batch_size = _coerce_batch_size(batch_size)
-    stats = EngineStats(trials=samples, workers=1)
-    fingerprint = {
+    run.stats.trials = samples
+    run.open_journal(checkpoint, resume, seed, {
         "workload": "malignant_pairs",
         "gadget": gadget.name,
-        "locations": len(locations),
+        "locations": count,
         "seed": seed,
         "samples": samples,
-        "chunk_size": chunk_size,
+        "chunk_size": run.chunk_size,
         "channel": channel,
-    }
-    if optimizer_marker is not None:
-        fingerprint["optimizer"] = optimizer_marker
-    store, cache = _open_journal(
-        checkpoint, resume, seed, memoize, cache, fingerprint, stats)
+    })
     model = NoiseModel.uniform(1.0, channel=channel)
-    _, choices, after_ops = _location_setup(model, gadget, locations)
-
+    _, choices, after_ops = _location_setup(model, gadget, run.locations)
     pattern_counts: Dict[FaultPattern, int] = {}
-    sample_start = time.perf_counter()
-    chunks = _spawn_chunks(seed, samples, chunk_size)
-    stats.chunks = len(chunks)
-    count = len(locations)
-    sampled = 0
-    for chunk_index, (length, child) in enumerate(chunks):
-        rng = np.random.default_rng(child)
-        sample_pair_chunk(choices, after_ops, count, rng, length,
-                          pattern_counts)
-        sampled += length
-        if progress is not None:
-            progress(ProgressEvent(
-                phase="sample", done=sampled, total=samples,
-                chunk_index=chunk_index, chunks_total=len(chunks),
-                elapsed_seconds=time.perf_counter() - sample_start,
-            ))
-    stats.sample_seconds = time.perf_counter() - sample_start
-    if store is not None:
-        store.write_state("cursor", {
-            "sample_chunks_done": len(chunks),
-            "distinct_patterns": len(pattern_counts),
-        })
-
-    context = _EvalContext(gadget, initial_state, evaluator,
-                           invariant=invariant, policy=runtime,
-                           batch_size=batch_size)
-    try:
-        verdict_map = _resolve_verdicts(context, pattern_counts,
-                                        memoize, cache, workers,
-                                        chunk_size, stats, progress,
-                                        journal=store)
-    except KeyboardInterrupt:
-        if store is not None:
-            store.write_state("cursor", {
-                "sample_chunks_done": len(chunks),
-                "distinct_patterns": len(pattern_counts),
-                "interrupted": True,
-            })
-        raise
-    malignant = sum(multiplicity
-                    for pattern, multiplicity in pattern_counts.items()
-                    if not verdict_map[pattern])
-    stats.total_seconds = time.perf_counter() - start
-    if store is not None:
-        store.finalize({"samples": samples, "malignant": malignant})
+    chunks = run.sample(
+        seed, samples,
+        lambda rng, length: sample_pair_chunk(
+            choices, after_ops, count, rng, length, pattern_counts))
+    verdict_map = run.resolve_all(pattern_counts, {
+        "sample_chunks_done": chunks,
+        "distinct_patterns": len(pattern_counts),
+    })
+    malignant, _ = _score(pattern_counts, verdict_map)
+    run.finish({"samples": samples, "malignant": malignant})
     return MalignantPairSample(
         samples=samples,
         malignant=malignant,
         num_locations=count,
-        engine_stats=stats,
+        engine_stats=run.stats,
     )
 
 
@@ -1386,58 +1355,33 @@ def run_exhaustive(gadget: Gadget,
     in :func:`run_monte_carlo`; the enumeration is deterministic, so
     no seed is required to resume.
     """
-    from repro.analysis.montecarlo import _default_locations
-
-    start = time.perf_counter()
-    gadget, optimizer_marker = _apply_optimizer(gadget, optimize,
-                                                locations)
-    if locations is None:
-        locations = _default_locations(gadget)
-    locations = list(locations)
-    workers = _coerce_workers(workers)
-    chunk_size = _coerce_chunk_size(chunk_size)
-    batch_size = _coerce_batch_size(batch_size)
+    run = _Run(gadget, initial_state, evaluator, locations=locations,
+               workers=workers, chunk_size=chunk_size,
+               batch_size=batch_size, memoize=memoize, cache=cache,
+               invariant=invariant, runtime=runtime, progress=progress,
+               optimize=optimize)
+    gadget = run.gadget
     model = NoiseModel.uniform(1.0, channel=channel)
-
     items: List[Tuple[FaultLocation, PauliString, FaultPattern]] = []
-    for location in locations:
+    for location in run.locations:
         for pauli in model.fault_choices(location, gadget.num_qubits):
             items.append((location, pauli,
                           canonical_pattern([(pauli, location.after_op)])))
-    stats = EngineStats(trials=len(items), workers=1, chunks=0)
-    fingerprint = {
+    run.stats.trials = len(items)
+    run.open_journal(checkpoint, resume, None, {
         "workload": "exhaustive",
         "gadget": gadget.name,
-        "locations": len(locations),
+        "locations": len(run.locations),
         "items": len(items),
-        "chunk_size": chunk_size,
+        "chunk_size": run.chunk_size,
         "channel": channel,
-    }
-    if optimizer_marker is not None:
-        fingerprint["optimizer"] = optimizer_marker
-    store, cache = _open_journal(
-        checkpoint, resume, None, memoize, cache, fingerprint, stats,
-        needs_seed=False)
+    }, needs_seed=False)
     pattern_counts: Dict[FaultPattern, int] = {}
     for _, _, key in items:
         pattern_counts[key] = pattern_counts.get(key, 0) + 1
-    context = _EvalContext(gadget, initial_state, evaluator,
-                           invariant=invariant, policy=runtime,
-                           batch_size=batch_size)
-    try:
-        verdict_map = _resolve_verdicts(context, pattern_counts,
-                                        memoize, cache, workers,
-                                        chunk_size, stats, progress,
-                                        journal=store)
-    except KeyboardInterrupt:
-        if store is not None:
-            store.write_state("cursor", {"interrupted": True})
-        raise
+    verdict_map = run.resolve_all(pattern_counts, {})
     failures = [(location, pauli) for location, pauli, key in items
                 if not verdict_map[key]]
-    stats.total_seconds = time.perf_counter() - start
-    if store is not None:
-        store.finalize({"checked": len(items),
-                        "failures": len(failures)})
+    run.finish({"checked": len(items), "failures": len(failures)})
     return ExhaustiveSurvey(failures=failures, checked=len(items),
-                            stats=stats)
+                            stats=run.stats)

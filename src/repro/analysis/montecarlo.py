@@ -13,12 +13,15 @@ The samplers here are thin wrappers over :mod:`repro.analysis.engine`
 (:func:`~repro.analysis.engine.run_monte_carlo`,
 :func:`~repro.analysis.engine.run_exhaustive` and
 :func:`~repro.analysis.engine.run_malignant_pairs`), the one route
-from a fault pattern to a verdict.  They keep the ``parallel=`` /
-``workers=`` / ``chunk_size=`` / ``memoize=`` keywords and evaluate
-with the engine's default lane-stack width
+from a fault pattern to a verdict.  They take the engine's
+``workers=`` / ``chunk_size=`` / ``memoize=`` keywords with the
+engine's defaults and evaluate at its default lane-stack width
 (:data:`~repro.analysis.engine.DEFAULT_BATCH_SIZE`).  Seeded runs draw
 from the engine's chunked ``SeedSequence.spawn`` streams, so results
 are bit-identical for any worker count and any batch size.
+
+:func:`gadget_locations` is the one definition of a gadget's fault
+locations that every runner, survey and benchmark counts over.
 """
 
 from __future__ import annotations
@@ -34,17 +37,23 @@ from typing import (
     TYPE_CHECKING,
 )
 
+from repro.analysis.engine import (
+    DEFAULT_CHUNK_SIZE,
+    FaultPatternCache,
+    ProgressEvent,
+    run_exhaustive,
+    run_malignant_pairs,
+    run_monte_carlo,
+)
+from repro.exceptions import AnalysisError
 from repro.ft.gadget import Gadget
-from repro.noise.locations import FaultLocation
+from repro.noise.locations import FaultLocation, enumerate_locations
 from repro.noise.model import NoiseModel
+from repro.runtime.checkpoint import as_store
 from repro.simulators.sparse import SparseState
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.analysis.engine import (
-        EngineStats,
-        FaultPatternCache,
-        ProgressEvent,
-    )
+    from repro.analysis.engine import EngineStats
 
 
 @dataclass
@@ -114,19 +123,6 @@ class GadgetMonteCarloResult:
         return self.failures_by_fault_count.get(1, 0)
 
 
-def _engine_options(parallel: bool, workers: Optional[int],
-                    chunk_size: Optional[int],
-                    memoize: Optional[bool]) -> Dict[str, object]:
-    """Resolve the wrappers' optional knobs to engine arguments."""
-    from repro.analysis import engine
-
-    return {
-        "workers": engine.resolve_workers(parallel, workers),
-        "chunk_size": chunk_size or engine.DEFAULT_CHUNK_SIZE,
-        "memoize": True if memoize is None else memoize,
-    }
-
-
 def gadget_monte_carlo(gadget: Gadget,
                        initial_state: SparseState,
                        evaluator: Callable[[SparseState], bool],
@@ -135,13 +131,12 @@ def gadget_monte_carlo(gadget: Gadget,
                        locations: Optional[Sequence[FaultLocation]] = None,
                        seed: Optional[int] = None,
                        *,
-                       parallel: bool = False,
-                       workers: Optional[int] = None,
-                       chunk_size: Optional[int] = None,
-                       memoize: Optional[bool] = None,
-                       cache: Optional["FaultPatternCache"] = None,
+                       workers: int = 1,
+                       chunk_size: int = DEFAULT_CHUNK_SIZE,
+                       memoize: bool = True,
+                       cache: Optional[FaultPatternCache] = None,
                        progress: Optional[
-                           Callable[["ProgressEvent"], None]] = None,
+                           Callable[[ProgressEvent], None]] = None,
                        checkpoint=None,
                        resume: bool = True,
                        runtime=None,
@@ -161,8 +156,6 @@ def gadget_monte_carlo(gadget: Gadget,
             p sweep).
         seed: RNG seed.  ``None`` draws fresh OS entropy, making the
             run non-reproducible.
-        parallel: use ``os.cpu_count()`` workers (unless ``workers``
-            says otherwise).
         workers: engine worker-pool size; results are bit-identical
             for every value (chunked ``SeedSequence.spawn`` streams).
         chunk_size: trials sampled per RNG chunk (part of the
@@ -181,20 +174,20 @@ def gadget_monte_carlo(gadget: Gadget,
         runtime: a :class:`~repro.runtime.RuntimePolicy` tuning
             supervision/fallback.
     """
-    from repro.analysis import engine
-
-    return engine.run_monte_carlo(
+    return run_monte_carlo(
         gadget, initial_state, evaluator, noise, trials,
-        locations=locations, seed=seed,
-        **_engine_options(parallel, workers, chunk_size, memoize),
-        cache=cache, progress=progress, checkpoint=checkpoint,
-        resume=resume, runtime=runtime,
+        locations=locations, seed=seed, workers=workers,
+        chunk_size=chunk_size, memoize=memoize, cache=cache,
+        progress=progress, checkpoint=checkpoint, resume=resume,
+        runtime=runtime,
     )
 
 
-def _default_locations(gadget: Gadget) -> List[FaultLocation]:
-    from repro.noise.locations import enumerate_locations
-
+def gadget_locations(gadget: Gadget) -> List[FaultLocation]:
+    """The gadget's fault locations: every gate and delay location,
+    plus input locations on its ``data`` and ``quantum_ancilla``
+    registers only (classical-ancilla, cat, work and scratch registers
+    take no input fault)."""
     input_qubits: List[int] = []
     for register in gadget.registers.values():
         if register.role in ("data", "quantum_ancilla"):
@@ -210,12 +203,11 @@ def exhaustive_single_faults_sparse(
         locations: Optional[Sequence[FaultLocation]] = None,
         channel: str = "depolarizing",
         *,
-        parallel: bool = False,
-        workers: Optional[int] = None,
-        chunk_size: Optional[int] = None,
-        memoize: Optional[bool] = None,
-        cache: Optional["FaultPatternCache"] = None,
-        progress: Optional[Callable[["ProgressEvent"], None]] = None,
+        workers: int = 1,
+        chunk_size: int = DEFAULT_CHUNK_SIZE,
+        memoize: bool = True,
+        cache: Optional[FaultPatternCache] = None,
+        progress: Optional[Callable[[ProgressEvent], None]] = None,
         checkpoint=None,
         resume: bool = True,
         runtime=None,
@@ -229,19 +221,16 @@ def exhaustive_single_faults_sparse(
     that *no* single fault is malignant.  Returns the failing
     (location, pauli) pairs; empty = fault tolerant.
 
-    Engine options (``parallel=``/``workers=``/...) fan the sweep out
-    across a worker pool; the failure list order is unchanged.  Use
-    :func:`repro.analysis.engine.run_exhaustive` directly to also get
-    the :class:`~repro.analysis.engine.EngineStats`.
+    Engine options (``workers=``/``chunk_size=``/...) fan the sweep
+    out across a worker pool; the failure list order is unchanged.
+    Use :func:`repro.analysis.engine.run_exhaustive` directly to also
+    get the :class:`~repro.analysis.engine.EngineStats`.
     """
-    from repro.analysis import engine
-
-    survey = engine.run_exhaustive(
+    survey = run_exhaustive(
         gadget, initial_state, evaluator, locations=locations,
-        channel=channel,
-        **_engine_options(parallel, workers, chunk_size, memoize),
-        cache=cache, progress=progress, checkpoint=checkpoint,
-        resume=resume, runtime=runtime,
+        channel=channel, workers=workers, chunk_size=chunk_size,
+        memoize=memoize, cache=cache, progress=progress,
+        checkpoint=checkpoint, resume=resume, runtime=runtime,
     )
     return survey.failures
 
@@ -318,13 +307,12 @@ def sample_malignant_pairs(gadget: Gadget,
                            seed: Optional[int] = None,
                            channel: str = "depolarizing",
                            *,
-                           parallel: bool = False,
-                           workers: Optional[int] = None,
-                           chunk_size: Optional[int] = None,
-                           memoize: Optional[bool] = None,
-                           cache: Optional["FaultPatternCache"] = None,
+                           workers: int = 1,
+                           chunk_size: int = DEFAULT_CHUNK_SIZE,
+                           memoize: bool = True,
+                           cache: Optional[FaultPatternCache] = None,
                            progress: Optional[
-                               Callable[["ProgressEvent"], None]] = None,
+                               Callable[[ProgressEvent], None]] = None,
                            checkpoint=None,
                            resume: bool = True,
                            runtime=None,
@@ -337,12 +325,10 @@ def sample_malignant_pairs(gadget: Gadget,
     knob as the other samplers); engine options behave as in
     :func:`gadget_monte_carlo`.
     """
-    from repro.analysis import engine
-
-    return engine.run_malignant_pairs(
+    return run_malignant_pairs(
         gadget, initial_state, evaluator, samples,
         locations=locations, seed=seed, channel=channel,
-        **_engine_options(parallel, workers, chunk_size, memoize),
+        workers=workers, chunk_size=chunk_size, memoize=memoize,
         cache=cache, progress=progress, checkpoint=checkpoint,
         resume=resume, runtime=runtime,
     )
@@ -390,12 +376,11 @@ def sweep_p(gadget: Gadget,
             seed: Optional[int] = None,
             *,
             locations: Optional[Sequence[FaultLocation]] = None,
-            parallel: bool = False,
-            workers: Optional[int] = None,
-            chunk_size: Optional[int] = None,
-            memoize: Optional[bool] = None,
-            cache: Optional["FaultPatternCache"] = None,
-            progress: Optional[Callable[["ProgressEvent"], None]] = None,
+            workers: int = 1,
+            chunk_size: int = DEFAULT_CHUNK_SIZE,
+            memoize: bool = True,
+            cache: Optional[FaultPatternCache] = None,
+            progress: Optional[Callable[[ProgressEvent], None]] = None,
             checkpoint=None,
             resume: bool = True,
             runtime=None,
@@ -428,26 +413,20 @@ def sweep_p(gadget: Gadget,
     like the per-run journals.
     """
     if locations is None:
-        locations = _default_locations(gadget)
-    if cache is None and (memoize is None or memoize):
-        from repro.analysis.engine import FaultPatternCache
-
+        locations = gadget_locations(gadget)
+    if cache is None and memoize:
         cache = FaultPatternCache()
 
     store = None
     done_points: Dict[int, GadgetMonteCarloResult] = {}
     if checkpoint is not None:
-        from repro.analysis.engine import DEFAULT_CHUNK_SIZE
-        from repro.exceptions import AnalysisError
-        from repro.runtime.checkpoint import as_store
-
         store = as_store(checkpoint)
         if seed is None:
             raise AnalysisError(
                 "sweep_p checkpointing requires an explicit seed: an "
                 "unseeded sweep cannot be resumed bit-identically"
             )
-        if memoize is not None and not memoize:
+        if not memoize:
             raise AnalysisError(
                 "sweep_p checkpointing requires memoize=True"
             )
@@ -458,7 +437,7 @@ def sweep_p(gadget: Gadget,
             "p_values": [float(p) for p in p_values],
             "trials": int(trials),
             "seed": seed,
-            "chunk_size": chunk_size or DEFAULT_CHUNK_SIZE,
+            "chunk_size": chunk_size,
             "channel": channel,
         }
         if resume and store.exists():
@@ -481,8 +460,7 @@ def sweep_p(gadget: Gadget,
             if store is not None else None
         result = gadget_monte_carlo(
             gadget, initial_state, evaluator, noise, trials,
-            locations=locations, seed=point_seed,
-            parallel=parallel, workers=workers,
+            locations=locations, seed=point_seed, workers=workers,
             chunk_size=chunk_size, memoize=memoize, cache=cache,
             progress=progress, checkpoint=point_store,
             resume=resume, runtime=runtime,

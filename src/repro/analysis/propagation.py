@@ -42,13 +42,14 @@ Acceptance criteria per block role:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
+from repro.analysis.montecarlo import gadget_locations
 from repro.circuits.pauli import PauliString
 from repro.codes.quantum.css import CssCode
 from repro.exceptions import AnalysisError
 from repro.ft.gadget import Gadget
-from repro.noise.locations import FaultLocation, enumerate_locations
+from repro.noise.locations import FaultLocation
 from repro.noise.model import NoiseModel
 from repro.simulators.pauli_tracker import PauliPropagator, PropagatedFault
 
@@ -79,20 +80,12 @@ class GadgetFaultAnalyzer:
     """Propagates and judges faults for one gadget."""
 
     def __init__(self, gadget: Gadget, code: CssCode,
-                 ignore_quantum_ancilla_phase: bool = True,
-                 input_roles: Sequence[str] = ("data", "quantum_ancilla")
-                 ) -> None:
+                 ignore_quantum_ancilla_phase: bool = True) -> None:
         self.gadget = gadget
         self.code = code
         self.ignore_quantum_ancilla_phase = ignore_quantum_ancilla_phase
         self._propagator = PauliPropagator(gadget.circuit)
-        input_qubits: List[int] = []
-        for register in gadget.registers.values():
-            if register.role in input_roles:
-                input_qubits.extend(register.qubits)
-        self.locations: List[FaultLocation] = enumerate_locations(
-            gadget.circuit, input_qubits=sorted(input_qubits),
-        )
+        self.locations: List[FaultLocation] = gadget_locations(gadget)
         self._noise = NoiseModel.uniform(1.0)
 
     # -- judging ---------------------------------------------------------

@@ -17,6 +17,14 @@ ago.  This module adds the sequential layer on top of the engine:
   confidence intervals are widest (or nearest a decision boundary),
   under a deterministic schedule.
 
+All three run on the engine's run frame (knobs, locations, journal,
+evaluation context, interrupt cursor) and take the engine's two size
+knobs with the engine's meanings: ``chunk_size`` is the seed-contract
+chunk — here the trials per sequential batch — and ``batch_size`` the
+lane-stack width of the vectorised simulator, which never changes a
+verdict.  The two sequential runners share one batch loop and differ
+only in what a batch draws.
+
 **Determinism contract.**  Batch ``b`` of a sequential run draws its
 faults from ``chunk_seed_sequence(seed, b, stream_key)`` — exactly the
 stream the fixed-budget engine assigns to chunk ``b`` at the same
@@ -33,13 +41,14 @@ the estimator state is a deterministic function of those counts, so a
 killed run resumed from its journal replays the identical decision
 sequence, reaches the identical verdict and trial count, and continues
 the identical fault stream — proven by the chaos tests in
-``tests/runtime/test_sequential_resume.py``.
+``tests/runtime/test_sequential_resume.py``.  Journal records keep
+their historical keys: the fingerprint field ``batch_size`` records
+the chunk size.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import (
     Callable,
@@ -66,14 +75,10 @@ from repro.analysis.engine import (
     FaultPattern,
     FaultPatternCache,
     ProgressEvent,
-    _coerce_batch_size,
-    _coerce_chunk_size,
     _coerce_count,
-    _coerce_workers,
-    _EvalContext,
     _location_setup,
-    _open_journal,
-    _resolve_verdicts,
+    _Run,
+    _score,
     chunk_seed_sequence,
     sample_fault_chunk,
     sample_pair_chunk,
@@ -81,7 +86,6 @@ from repro.analysis.engine import (
 from repro.analysis.montecarlo import (
     GadgetMonteCarloResult,
     MalignantPairSample,
-    _default_locations,
 )
 from repro.analysis.stats import (
     BinomialInterval,
@@ -90,6 +94,10 @@ from repro.analysis.stats import (
     build_claim_verdict,
     make_sequential_test,
 )
+
+#: A batch draw: the batch's pattern counts and its fault-count
+#: histogram (``None`` for pair batches, which journal no histogram).
+_Draw = Tuple[Dict[FaultPattern, int], Optional[Dict[int, int]]]
 
 
 @dataclass
@@ -118,22 +126,119 @@ class SequentialPairResult:
         return self.verdict.decision
 
 
-def _merge_counts(total: Dict[int, int], delta: Dict[int, int]) -> None:
+def _merge_counts(total: Dict[int, int], delta: Dict[str, int]) -> None:
     for key, value in delta.items():
-        total[key] = total.get(key, 0) + value
+        total[int(key)] = total.get(int(key), 0) + int(value)
 
 
-def _batch_failures(pattern_counts: Dict[FaultPattern, int],
-                    verdict_map: Dict[FaultPattern, bool],
-                    failures_by_count: Dict[int, int]) -> int:
-    failures = 0
-    for pattern, multiplicity in pattern_counts.items():
-        if not verdict_map[pattern]:
-            failures += multiplicity
-            count = len(pattern)
-            failures_by_count[count] = \
-                failures_by_count.get(count, 0) + multiplicity
-    return failures
+@dataclass
+class _Tally:
+    """Counts folded from batch records, journaled or fresh alike."""
+
+    trials: int = 0
+    failures: int = 0
+    batches: int = 0
+    histogram: Dict[int, int] = field(default_factory=dict)
+    failures_by_count: Dict[int, int] = field(default_factory=dict)
+
+    def fold(self, record: Dict[str, object]) -> None:
+        self.trials += int(record["length"])
+        self.failures += int(record["failures"])
+        self.batches = int(record["batch"]) + 1
+        if "histogram" in record:
+            _merge_counts(self.histogram, record["histogram"])
+            _merge_counts(self.failures_by_count,
+                          record["failures_by_fault_count"])
+
+
+def _draw_faults(run: _Run, noise: NoiseModel, setup, seed: int,
+                 batch: int, length: int) -> _Draw:
+    """Monte-Carlo batch ``batch`` of the stream keyed by ``seed``."""
+    rng = np.random.default_rng(
+        chunk_seed_sequence(seed, batch, stream_key=noise.stream_key()))
+    histogram: Dict[int, int] = {}
+    patterns: Dict[FaultPattern, int] = {}
+    sample_fault_chunk(noise, run.gadget, run.locations, *setup, rng,
+                       length, histogram, patterns)
+    return patterns, histogram
+
+
+def _resolve_batch(run: _Run, draw: _Draw,
+                   **head: object) -> Dict[str, object]:
+    """Resolve one drawn batch into its journal record.
+
+    ``head`` carries the record's position fields; the failure count
+    follows, then (Monte-Carlo batches only) the histogram and the
+    failures by fault count, keyed by strings as the journal stores
+    them.
+    """
+    patterns, histogram = draw
+    failures, failures_by_count = _score(patterns,
+                                         run.resolve(patterns))
+    record = dict(head, failures=failures)
+    if histogram is not None:
+        record["histogram"] = {str(k): v for k, v in histogram.items()}
+        record["failures_by_fault_count"] = {
+            str(k): v for k, v in failures_by_count.items()}
+    return record
+
+
+def _run_batches(run: _Run, test, method: str, budget: int, unit: str,
+                 draw: Callable[[int, int], _Draw],
+                 on_batch: Optional[Callable[[int, int, int,
+                                              Optional[str]], None]]
+                 ) -> _Tally:
+    """The batch loop of both sequential runners.
+
+    Replays journaled ``batches`` records, then draws batch ``b`` with
+    ``draw(b, length)``, resolves it, folds it into the estimator,
+    journals the record and the estimator state, and calls
+    ``on_batch`` — until ``test`` decides or ``budget`` items (named
+    ``unit`` in the interrupt cursor) are consumed.
+    """
+    tally = _Tally()
+    store = run.store
+    if store is not None:
+        # The estimator's decision sequence is a pure function of the
+        # journaled per-batch counts.
+        for record in store.load_records("batches"):
+            tally.fold(record)
+            test.update(int(record["failures"]), int(record["length"]))
+            if on_batch is not None:
+                on_batch(tally.batches - 1, tally.trials, tally.failures,
+                         test.decision)
+    chunk_size = run.chunk_size
+    with run.interruptible(lambda: {"batches_done": tally.batches,
+                                    unit: tally.trials}):
+        while test.decision is None and tally.trials < budget:
+            index = tally.batches
+            length = min(chunk_size, budget - tally.trials)
+            sample_start = time.perf_counter()
+            drawn = draw(index, length)
+            run.stats.sample_seconds += time.perf_counter() - sample_start
+            run.stats.chunks += 1
+            if run.progress is not None:
+                run.progress(ProgressEvent(
+                    phase="sample", done=tally.trials + length,
+                    total=budget, chunk_index=index,
+                    chunks_total=-(-budget // chunk_size),
+                    elapsed_seconds=time.perf_counter() - run.start,
+                ))
+            record = _resolve_batch(run, drawn, batch=index,
+                                    length=length)
+            tally.fold(record)
+            test.update(int(record["failures"]), length)
+            if store is not None:
+                store.append_record("batches", record)
+                store.write_state("estimator", {
+                    "method": method,
+                    "state": test.state_dict(),
+                })
+            if on_batch is not None:
+                on_batch(index, tally.trials, tally.failures,
+                         test.decision)
+    run.stats.trials = tally.trials
+    return tally
 
 
 def run_sequential_monte_carlo(
@@ -148,13 +253,12 @@ def run_sequential_monte_carlo(
         beta: float = 0.05,
         max_trials: int,
         seed: int,
-        batch_size: int = DEFAULT_CHUNK_SIZE,
+        chunk_size: int = DEFAULT_CHUNK_SIZE,
         method: str = "sprt",
         claim: Optional[str] = None,
         locations: Optional[Sequence[FaultLocation]] = None,
         workers: int = 1,
-        eval_batch_size: int = DEFAULT_BATCH_SIZE,
-        prefetch: bool = False,
+        batch_size: int = DEFAULT_BATCH_SIZE,
         memoize: bool = True,
         cache: Optional[FaultPatternCache] = None,
         invariant: Optional[Callable[[SparseState], None]] = None,
@@ -167,7 +271,7 @@ def run_sequential_monte_carlo(
 ) -> SequentialResult:
     """Certify ``failure_rate <= p0`` sequentially, stopping early.
 
-    Runs Monte-Carlo batches of ``batch_size`` trials through the
+    Runs Monte-Carlo batches of ``chunk_size`` trials through the
     engine's sample→dedup→evaluate schedule, feeding each batch's
     failure count to a sequential test (``method``: ``sprt`` or
     ``confidence-sequence``) of H0: rate <= ``p0`` against
@@ -180,27 +284,19 @@ def run_sequential_monte_carlo(
     stream as fixed-budget chunk ``b`` (see
     :func:`repro.analysis.engine.chunk_seed_sequence`), so the
     sequential run's samples are a bit-identical prefix of
-    ``run_monte_carlo(..., trials=<consumed>, chunk_size=batch_size)``.
+    ``run_monte_carlo(..., trials=<consumed>, chunk_size=chunk_size)``.
 
     ``checkpoint``/``resume`` journal completed batches and verdicts;
     a killed run resumed from the journal reaches the identical
     verdict, trial count and fault stream as an uninterrupted one.
 
-    ``eval_batch_size`` (default
+    ``batch_size`` (default
     :data:`~repro.analysis.engine.DEFAULT_BATCH_SIZE`) is how many of
     each batch's distinct patterns the vectorised
-    :mod:`repro.simulators.batched` stack evaluates at once (named to
-    avoid colliding with ``batch_size``, which here is the *sampling*
-    chunk size and part of the seed contract).  Verdicts, SPRT
-    decisions and journals are bit-identical for every value, so a
-    journal resumes under any ``eval_batch_size``.
-
-    ``prefetch=True`` pipelines batch ``b+1``'s fault sampling on a
-    helper thread while batch ``b`` evaluates — safe because chunk
-    streams are independent per batch and a prefetched draw is
-    discarded unused if the test stops first.  Off by default: with
-    ``workers > 1`` the evaluation pool forks while the sampler
-    thread may be running, which is best opted into knowingly.
+    :mod:`repro.simulators.batched` stack evaluates at once, exactly
+    as in :func:`~repro.analysis.engine.run_monte_carlo`.  Verdicts,
+    SPRT decisions and journals are bit-identical for every value, so
+    a journal resumes under any ``batch_size``.
 
     ``on_batch`` is the streaming hook: after every batch is folded
     into the estimator (journaled batches replayed on resume
@@ -211,7 +307,6 @@ def run_sequential_monte_carlo(
     influences — an exception raised from it propagates like
     ``KeyboardInterrupt`` (completed batches stay journaled).
     """
-    start = time.perf_counter()
     if not noise.samplable:
         raise AnalysisError(
             f"{type(noise).__name__} has no stochastic Pauli "
@@ -228,21 +323,18 @@ def run_sequential_monte_carlo(
         raise AnalysisError(
             f"max_trials must be >= 1, got {max_trials}"
         )
-    batch_size = _coerce_chunk_size(batch_size)
-    eval_batch_size = _coerce_batch_size(eval_batch_size)
-    workers = _coerce_workers(workers)
-    if locations is None:
-        locations = _default_locations(gadget)
-    locations = list(locations)
+    run = _Run(gadget, initial_state, evaluator, locations=locations,
+               workers=workers, chunk_size=chunk_size,
+               batch_size=batch_size, memoize=memoize, cache=cache,
+               invariant=invariant, runtime=runtime, progress=progress)
     test = make_sequential_test(method, p0, p1, alpha=alpha, beta=beta)
-    stats = EngineStats(workers=1)
     fingerprint = {
         "workload": "sequential_monte_carlo",
         "gadget": gadget.name,
-        "locations": len(locations),
+        "locations": len(run.locations),
         "seed": seed,
         "max_trials": max_trials,
-        "batch_size": batch_size,
+        "batch_size": run.chunk_size,
         "p0": float(p0),
         "p1": float(p1),
         "alpha": float(alpha),
@@ -255,163 +347,34 @@ def run_sequential_monte_carlo(
     }
     if noise.structured:
         fingerprint["model"] = repr(noise.fingerprint())
-    if not memoize and checkpoint is not None:
-        raise AnalysisError(
-            "checkpointing requires memoize=True (the journal replays "
-            "verdicts through the fault-pattern cache)"
-        )
-    store, cache = _open_journal(checkpoint, resume, seed, memoize,
-                                 cache, fingerprint, stats)
-    probs, choices, after_ops = _location_setup(noise, gadget,
-                                                locations)
-    stream_key = noise.stream_key()
-    context = _EvalContext(gadget, initial_state, evaluator,
-                           invariant=invariant, policy=runtime,
-                           batch_size=eval_batch_size)
-
-    histogram: Dict[int, int] = {}
-    failures_by_count: Dict[int, int] = {}
-    consumed = 0
-    failures_total = 0
-    batch_index = 0
-
-    if store is not None:
-        # Replay completed batches: the estimator's decision sequence
-        # is a pure function of the journaled per-batch counts.
-        for record in store.load_records("batches"):
-            _merge_counts(histogram, {
-                int(k): int(v)
-                for k, v in record["histogram"].items()})
-            _merge_counts(failures_by_count, {
-                int(k): int(v)
-                for k, v in record["failures_by_fault_count"].items()})
-            consumed += int(record["length"])
-            failures_total += int(record["failures"])
-            test.update(int(record["failures"]), int(record["length"]))
-            batch_index = int(record["batch"]) + 1
-            if on_batch is not None:
-                on_batch(batch_index - 1, consumed, failures_total,
-                         test.decision)
-
-    def _draw_batch(
-            index: int, length: int,
-    ) -> Tuple[Dict[int, int], Dict[FaultPattern, int], float]:
-        """Sample one batch's fault stream.
-
-        Thread-safe by construction: every call builds its own rng
-        from the batch's chunk seed and writes only local dicts, so
-        the prefetch thread and the main loop never share state.
-        """
-        rng = np.random.default_rng(
-            chunk_seed_sequence(seed, index, stream_key=stream_key))
-        draw_start = time.perf_counter()
-        drawn_histogram: Dict[int, int] = {}
-        drawn_patterns: Dict[FaultPattern, int] = {}
-        sample_fault_chunk(noise, gadget, locations, probs,
-                           choices, after_ops, rng, length,
-                           drawn_histogram, drawn_patterns)
-        return (drawn_histogram, drawn_patterns,
-                time.perf_counter() - draw_start)
-
-    executor: Optional[ThreadPoolExecutor] = None
-    if prefetch:
-        executor = ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix="repro-sample-prefetch")
-    pending: Optional[Tuple[int, Future]] = None
-    try:
-        while (test.decision is None and consumed < max_trials):
-            length = min(batch_size, max_trials - consumed)
-            if pending is not None and pending[0] == batch_index:
-                batch_histogram, batch_patterns, sampled = \
-                    pending[1].result()
-            else:
-                batch_histogram, batch_patterns, sampled = \
-                    _draw_batch(batch_index, length)
-            pending = None
-            stats.sample_seconds += sampled
-            stats.chunks += 1
-            if executor is not None:
-                # Overlap the next batch's sampling with this batch's
-                # evaluation.  Length is fixed now (consumed is not
-                # yet advanced, so next = max_trials-consumed-length);
-                # if the test decides first the draw is discarded.
-                next_length = min(batch_size,
-                                  max_trials - consumed - length)
-                if next_length > 0:
-                    pending = (batch_index + 1, executor.submit(
-                        _draw_batch, batch_index + 1, next_length))
-            if progress is not None:
-                progress(ProgressEvent(
-                    phase="sample", done=consumed + length,
-                    total=max_trials, chunk_index=batch_index,
-                    chunks_total=-(-max_trials // batch_size),
-                    elapsed_seconds=time.perf_counter() - start,
-                ))
-            verdict_map = _resolve_verdicts(
-                context, batch_patterns, memoize, cache, workers,
-                batch_size, stats, progress, journal=store)
-            batch_fbc: Dict[int, int] = {}
-            batch_failures = _batch_failures(batch_patterns,
-                                             verdict_map, batch_fbc)
-            _merge_counts(failures_by_count, batch_fbc)
-            _merge_counts(histogram, batch_histogram)
-            consumed += length
-            failures_total += batch_failures
-            stats.trials += length
-            test.update(batch_failures, length)
-            if store is not None:
-                store.append_record("batches", {
-                    "batch": batch_index,
-                    "length": length,
-                    "failures": batch_failures,
-                    "histogram": {str(k): v for k, v
-                                  in batch_histogram.items()},
-                    "failures_by_fault_count": {
-                        str(k): v for k, v in batch_fbc.items()},
-                })
-                store.write_state("estimator", {
-                    "method": method,
-                    "state": test.state_dict(),
-                })
-            if on_batch is not None:
-                on_batch(batch_index, consumed, failures_total,
-                         test.decision)
-            batch_index += 1
-    except KeyboardInterrupt:
-        if store is not None:
-            store.write_state("cursor", {
-                "batches_done": batch_index,
-                "trials": consumed,
-                "interrupted": True,
-            })
-        raise
-    finally:
-        if executor is not None:
-            executor.shutdown(wait=True, cancel_futures=True)
-
-    stats.trials = consumed
-    stats.total_seconds = time.perf_counter() - start
+    run.open_journal(checkpoint, resume, seed, fingerprint)
+    setup = _location_setup(noise, run.gadget, run.locations)
+    tally = _run_batches(
+        run, test, method, max_trials, "trials",
+        lambda batch, length: _draw_faults(run, noise, setup, seed,
+                                           batch, length),
+        on_batch)
+    verdict = build_claim_verdict(
+        test,
+        claim or f"{gadget.name} failure_rate <= {p0:g} "
+                 f"at p={noise.p_gate:g}",
+        method, max_trials)
+    run.finish({
+        "trials": tally.trials,
+        "failures": tally.failures,
+        "decision": verdict.decision,
+        "batches": tally.batches,
+    })
     result = GadgetMonteCarloResult(
         p=noise.p_gate,
-        trials=consumed,
-        failures=failures_total,
-        failures_by_fault_count=failures_by_count,
-        fault_count_histogram=histogram,
-        engine_stats=stats,
+        trials=tally.trials,
+        failures=tally.failures,
+        failures_by_fault_count=tally.failures_by_count,
+        fault_count_histogram=tally.histogram,
+        engine_stats=run.stats,
     )
-    claim_text = claim or (
-        f"{gadget.name} failure_rate <= {p0:g} at p={noise.p_gate:g}"
-    )
-    verdict = build_claim_verdict(test, claim_text, method, max_trials)
-    if store is not None:
-        store.finalize({
-            "trials": consumed,
-            "failures": failures_total,
-            "decision": verdict.decision,
-            "batches": batch_index,
-        })
     return SequentialResult(verdict=verdict, result=result,
-                            batches=batch_index)
+                            batches=tally.batches)
 
 
 def run_sequential_pair_sampling(
@@ -425,14 +388,13 @@ def run_sequential_pair_sampling(
         beta: float = 0.05,
         max_samples: int,
         seed: int,
-        batch_size: int = DEFAULT_CHUNK_SIZE,
+        chunk_size: int = DEFAULT_CHUNK_SIZE,
         method: str = "sprt",
         claim: Optional[str] = None,
         locations: Optional[Sequence[FaultLocation]] = None,
         channel: str = "depolarizing",
         workers: int = 1,
-        eval_batch_size: int = DEFAULT_BATCH_SIZE,
-        prefetch: bool = False,
+        batch_size: int = DEFAULT_BATCH_SIZE,
         memoize: bool = True,
         cache: Optional[FaultPatternCache] = None,
         invariant: Optional[Callable[[SparseState], None]] = None,
@@ -448,13 +410,10 @@ def run_sequential_pair_sampling(
     The malignant-pair fraction drives the paper's threshold estimate
     (p_th ~ 1 / (fraction * location_pairs)), so deciding it early is
     deciding the threshold early.  Same stream/stopping/resume
-    contract as :func:`run_sequential_monte_carlo`, over the uniform
-    distinct-location-pair draws of ``run_malignant_pairs`` — and the
-    same ``eval_batch_size``/``prefetch`` accelerators and
-    ``on_batch`` streaming hook, which change wall-clock and
-    observability only, never verdicts or journals.
+    contract, knobs and ``on_batch`` streaming hook as
+    :func:`run_sequential_monte_carlo`, over the uniform
+    distinct-location-pair draws of ``run_malignant_pairs``.
     """
-    start = time.perf_counter()
     if seed is None:
         raise AnalysisError(
             "sequential certification requires an explicit seed"
@@ -464,147 +423,60 @@ def run_sequential_pair_sampling(
         raise AnalysisError(
             f"max_samples must be >= 1, got {max_samples}"
         )
-    batch_size = _coerce_chunk_size(batch_size)
-    eval_batch_size = _coerce_batch_size(eval_batch_size)
-    workers = _coerce_workers(workers)
-    if locations is None:
-        locations = _default_locations(gadget)
-    locations = list(locations)
-    if len(locations) < 2:
+    run = _Run(gadget, initial_state, evaluator, locations=locations,
+               workers=workers, chunk_size=chunk_size,
+               batch_size=batch_size, memoize=memoize, cache=cache,
+               invariant=invariant, runtime=runtime, progress=progress)
+    num_locations = len(run.locations)
+    if num_locations < 2:
         raise AnalysisError(
             "malignant-pair sampling needs at least two fault locations"
         )
     test = make_sequential_test(method, f0, f1, alpha=alpha, beta=beta)
-    stats = EngineStats(workers=1)
-    fingerprint = {
+    run.open_journal(checkpoint, resume, seed, {
         "workload": "sequential_pairs",
         "gadget": gadget.name,
-        "locations": len(locations),
+        "locations": num_locations,
         "seed": seed,
         "max_samples": max_samples,
-        "batch_size": batch_size,
+        "batch_size": run.chunk_size,
         "p0": float(f0),
         "p1": float(f1),
         "alpha": float(alpha),
         "beta": float(beta),
         "method": method,
         "channel": channel,
-    }
-    store, cache = _open_journal(checkpoint, resume, seed, memoize,
-                                 cache, fingerprint, stats)
+    })
     model = NoiseModel.uniform(1.0, channel=channel)
-    _, choices, after_ops = _location_setup(model, gadget, locations)
-    context = _EvalContext(gadget, initial_state, evaluator,
-                           invariant=invariant, policy=runtime,
-                           batch_size=eval_batch_size)
+    _, choices, after_ops = _location_setup(model, run.gadget,
+                                            run.locations)
 
-    num_locations = len(locations)
-    consumed = 0
-    malignant_total = 0
-    batch_index = 0
-
-    if store is not None:
-        for record in store.load_records("batches"):
-            consumed += int(record["length"])
-            malignant_total += int(record["failures"])
-            test.update(int(record["failures"]), int(record["length"]))
-            batch_index = int(record["batch"]) + 1
-            if on_batch is not None:
-                on_batch(batch_index - 1, consumed, malignant_total,
-                         test.decision)
-
-    def _draw_batch(
-            index: int, length: int,
-    ) -> Tuple[Dict[FaultPattern, int], float]:
-        """Sample one pair batch (thread-safe: all state is local)."""
-        rng = np.random.default_rng(
-            chunk_seed_sequence(seed, index))
-        draw_start = time.perf_counter()
-        drawn_patterns: Dict[FaultPattern, int] = {}
+    def draw(batch: int, length: int) -> _Draw:
+        rng = np.random.default_rng(chunk_seed_sequence(seed, batch))
+        patterns: Dict[FaultPattern, int] = {}
         sample_pair_chunk(choices, after_ops, num_locations, rng,
-                          length, drawn_patterns)
-        return drawn_patterns, time.perf_counter() - draw_start
+                          length, patterns)
+        return patterns, None
 
-    executor: Optional[ThreadPoolExecutor] = None
-    if prefetch:
-        executor = ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix="repro-sample-prefetch")
-    pending: Optional[Tuple[int, Future]] = None
-    try:
-        while test.decision is None and consumed < max_samples:
-            length = min(batch_size, max_samples - consumed)
-            if pending is not None and pending[0] == batch_index:
-                batch_patterns, sampled = pending[1].result()
-            else:
-                batch_patterns, sampled = _draw_batch(batch_index,
-                                                      length)
-            pending = None
-            stats.sample_seconds += sampled
-            stats.chunks += 1
-            if executor is not None:
-                next_length = min(batch_size,
-                                  max_samples - consumed - length)
-                if next_length > 0:
-                    pending = (batch_index + 1, executor.submit(
-                        _draw_batch, batch_index + 1, next_length))
-            verdict_map = _resolve_verdicts(
-                context, batch_patterns, memoize, cache, workers,
-                batch_size, stats, progress, journal=store)
-            batch_malignant = sum(
-                multiplicity for pattern, multiplicity
-                in batch_patterns.items()
-                if not verdict_map[pattern])
-            consumed += length
-            malignant_total += batch_malignant
-            test.update(batch_malignant, length)
-            if store is not None:
-                store.append_record("batches", {
-                    "batch": batch_index,
-                    "length": length,
-                    "failures": batch_malignant,
-                })
-                store.write_state("estimator", {
-                    "method": method,
-                    "state": test.state_dict(),
-                })
-            if on_batch is not None:
-                on_batch(batch_index, consumed, malignant_total,
-                         test.decision)
-            batch_index += 1
-    except KeyboardInterrupt:
-        if store is not None:
-            store.write_state("cursor", {
-                "batches_done": batch_index,
-                "samples": consumed,
-                "interrupted": True,
-            })
-        raise
-    finally:
-        if executor is not None:
-            executor.shutdown(wait=True, cancel_futures=True)
-
-    stats.trials = consumed
-    stats.total_seconds = time.perf_counter() - start
+    tally = _run_batches(run, test, method, max_samples, "samples",
+                         draw, on_batch)
+    verdict = build_claim_verdict(
+        test, claim or f"{gadget.name} malignant_fraction <= {f0:g}",
+        method, max_samples)
+    run.finish({
+        "samples": tally.trials,
+        "malignant": tally.failures,
+        "decision": verdict.decision,
+        "batches": tally.batches,
+    })
     sample = MalignantPairSample(
-        samples=consumed,
-        malignant=malignant_total,
+        samples=tally.trials,
+        malignant=tally.failures,
         num_locations=num_locations,
-        engine_stats=stats,
+        engine_stats=run.stats,
     )
-    claim_text = claim or (
-        f"{gadget.name} malignant_fraction <= {f0:g}"
-    )
-    verdict = build_claim_verdict(test, claim_text, method,
-                                  max_samples)
-    if store is not None:
-        store.finalize({
-            "samples": consumed,
-            "malignant": malignant_total,
-            "decision": verdict.decision,
-            "batches": batch_index,
-        })
     return SequentialPairResult(verdict=verdict, sample=sample,
-                                batches=batch_index)
+                                batches=tally.batches)
 
 
 @dataclass
@@ -667,7 +539,7 @@ def adaptive_sweep_p(gadget: Gadget,
                      total_trials: int,
                      *,
                      seed: int,
-                     batch_size: int = DEFAULT_CHUNK_SIZE,
+                     chunk_size: int = DEFAULT_CHUNK_SIZE,
                      min_batches_per_point: int = 1,
                      confidence: float = 0.95,
                      interval_method: str = "wilson",
@@ -675,7 +547,7 @@ def adaptive_sweep_p(gadget: Gadget,
                      channel: str = "depolarizing",
                      locations: Optional[Sequence[FaultLocation]] = None,
                      workers: int = 1,
-                     eval_batch_size: int = DEFAULT_BATCH_SIZE,
+                     batch_size: int = DEFAULT_BATCH_SIZE,
                      memoize: bool = True,
                      cache: Optional[FaultPatternCache] = None,
                      invariant: Optional[
@@ -688,7 +560,7 @@ def adaptive_sweep_p(gadget: Gadget,
                      ) -> AdaptiveSweepResult:
     """Variance-aware ``sweep_p``: spend trials where CIs are widest.
 
-    Splits ``total_trials`` into whole batches of ``batch_size``
+    Splits ``total_trials`` into whole batches of ``chunk_size``
     (any remainder below one batch is left unspent) and deals them
     out under the deterministic rule of :func:`_pick_adaptive_point`.
     Point ``i``'s batches draw from ``chunk_seed_sequence(seed + i,
@@ -708,22 +580,20 @@ def adaptive_sweep_p(gadget: Gadget,
     counts, so a killed sweep resumes into the identical allocation
     sequence and final series.
 
-    ``eval_batch_size`` sets the lane-stack width of the vectorised
-    batched simulator (results unchanged for every value).  There is
-    no ``prefetch`` here: which point samples next depends on the
-    batch that is still evaluating, so sampling cannot run ahead of
-    the allocator.
+    ``batch_size`` sets the lane-stack width of the vectorised
+    batched simulator (results unchanged for every value).
     """
-    start = time.perf_counter()
     if seed is None:
         raise AnalysisError(
             "adaptive_sweep_p requires an explicit seed: the "
             "allocation schedule must be replayable"
         )
     total_trials = _coerce_count(total_trials, "total_trials")
-    batch_size = _coerce_chunk_size(batch_size)
-    eval_batch_size = _coerce_batch_size(eval_batch_size)
-    workers = _coerce_workers(workers)
+    run = _Run(gadget, initial_state, evaluator, locations=locations,
+               workers=workers, chunk_size=chunk_size,
+               batch_size=batch_size, memoize=memoize, cache=cache,
+               invariant=invariant, runtime=runtime, progress=progress)
+    chunk_size = run.chunk_size
     if not p_values:
         raise AnalysisError("adaptive_sweep_p needs at least one p value")
     if min_batches_per_point < 1:
@@ -733,144 +603,90 @@ def adaptive_sweep_p(gadget: Gadget,
         )
     p_values = [float(p) for p in p_values]
     num_points = len(p_values)
-    budget_batches = total_trials // batch_size
+    budget_batches = total_trials // chunk_size
     if budget_batches < num_points * min_batches_per_point:
         raise AnalysisError(
             f"total_trials={total_trials} is below the minimum "
             f"{num_points * min_batches_per_point} batches of "
-            f"{batch_size} ({num_points} points x "
+            f"{chunk_size} ({num_points} points x "
             f"{min_batches_per_point} min batches)"
         )
-    if locations is None:
-        locations = _default_locations(gadget)
-    locations = list(locations)
-    stats = EngineStats(workers=1)
-    fingerprint = {
+    run.open_journal(checkpoint, resume, seed, {
         "workload": "adaptive_sweep",
         "gadget": gadget.name,
-        "locations": len(locations),
+        "locations": len(run.locations),
         "p_values": p_values,
         "total_trials": total_trials,
         "seed": seed,
-        "batch_size": batch_size,
+        "batch_size": chunk_size,
         "min_batches_per_point": int(min_batches_per_point),
         "confidence": float(confidence),
         "interval_method": interval_method,
         "boundary": None if boundary is None else float(boundary),
         "channel": channel,
-    }
-    store, cache = _open_journal(checkpoint, resume, seed, memoize,
-                                 cache, fingerprint, stats)
-    if cache is None and memoize:
-        cache = FaultPatternCache()
-    context = _EvalContext(gadget, initial_state, evaluator,
-                           invariant=invariant, policy=runtime,
-                           batch_size=eval_batch_size)
+    })
     models = [NoiseModel.uniform(p, channel=channel) for p in p_values]
-    setups = [_location_setup(model, gadget, locations)
+    setups = [_location_setup(model, run.gadget, run.locations)
               for model in models]
-
-    trials = [0] * num_points
-    failures = [0] * num_points
-    batches = [0] * num_points
-    histograms: List[Dict[int, int]] = [{} for _ in range(num_points)]
-    fbcs: List[Dict[int, int]] = [{} for _ in range(num_points)]
+    tallies = [_Tally() for _ in p_values]
     steps_done = 0
-
-    if store is not None:
-        for record in store.load_records("alloc"):
-            index = int(record["point"])
-            trials[index] += int(record["length"])
-            failures[index] += int(record["failures"])
-            batches[index] += 1
-            _merge_counts(histograms[index], {
-                int(k): int(v)
-                for k, v in record["histogram"].items()})
-            _merge_counts(fbcs[index], {
-                int(k): int(v)
-                for k, v in record["failures_by_fault_count"].items()})
+    if run.store is not None:
+        for record in run.store.load_records("alloc"):
+            tallies[int(record["point"])].fold(record)
             steps_done += 1
 
-    try:
+    with run.interruptible(lambda: {"steps_done": steps_done}):
         while steps_done < budget_batches:
             index, _ = _pick_adaptive_point(
-                trials, failures, batches, min_batches_per_point,
-                confidence, interval_method, boundary)
-            rng = np.random.default_rng(
-                chunk_seed_sequence(seed + index, batches[index]))
-            probs, choices, after_ops = setups[index]
+                [tally.trials for tally in tallies],
+                [tally.failures for tally in tallies],
+                [tally.batches for tally in tallies],
+                min_batches_per_point, confidence, interval_method,
+                boundary)
+            tally = tallies[index]
             sample_start = time.perf_counter()
-            batch_histogram: Dict[int, int] = {}
-            batch_patterns: Dict[FaultPattern, int] = {}
-            sample_fault_chunk(models[index], gadget, locations, probs,
-                               choices, after_ops, rng, batch_size,
-                               batch_histogram, batch_patterns)
-            stats.sample_seconds += time.perf_counter() - sample_start
-            stats.chunks += 1
-            verdict_map = _resolve_verdicts(
-                context, batch_patterns, memoize, cache, workers,
-                batch_size, stats, progress, journal=store)
-            batch_fbc: Dict[int, int] = {}
-            batch_failures = _batch_failures(batch_patterns,
-                                             verdict_map, batch_fbc)
-            trials[index] += batch_size
-            failures[index] += batch_failures
-            batches[index] += 1
-            _merge_counts(histograms[index], batch_histogram)
-            _merge_counts(fbcs[index], batch_fbc)
-            if store is not None:
-                store.append_record("alloc", {
-                    "step": steps_done,
-                    "point": index,
-                    "batch": batches[index] - 1,
-                    "length": batch_size,
-                    "failures": batch_failures,
-                    "histogram": {str(k): v for k, v
-                                  in batch_histogram.items()},
-                    "failures_by_fault_count": {
-                        str(k): v for k, v in batch_fbc.items()},
-                })
+            drawn = _draw_faults(run, models[index], setups[index],
+                                 seed + index, tally.batches, chunk_size)
+            run.stats.sample_seconds += time.perf_counter() - sample_start
+            run.stats.chunks += 1
+            record = _resolve_batch(run, drawn, step=steps_done,
+                                    point=index, batch=tally.batches,
+                                    length=chunk_size)
+            tally.fold(record)
+            if run.store is not None:
+                run.store.append_record("alloc", record)
             steps_done += 1
             if progress is not None:
                 progress(ProgressEvent(
                     phase="sample", done=steps_done,
                     total=budget_batches, chunk_index=steps_done - 1,
                     chunks_total=budget_batches,
-                    elapsed_seconds=time.perf_counter() - start,
+                    elapsed_seconds=time.perf_counter() - run.start,
                 ))
-    except KeyboardInterrupt:
-        if store is not None:
-            store.write_state("cursor", {
-                "steps_done": steps_done,
-                "interrupted": True,
-            })
-        raise
 
-    stats.trials = sum(trials)
-    stats.total_seconds = time.perf_counter() - start
-    results = [
-        GadgetMonteCarloResult(
-            p=p_values[i],
-            trials=trials[i],
-            failures=failures[i],
-            failures_by_fault_count=fbcs[i],
-            fault_count_histogram=histograms[i],
-        )
-        for i in range(num_points)
-    ]
-    intervals = [binomial_interval(failures[i], trials[i], confidence,
-                                   interval_method)
-                 for i in range(num_points)]
-    if store is not None:
-        store.finalize({
-            "steps": steps_done,
-            "trials": sum(trials),
-            "allocation": list(batches),
-        })
+    trials = [tally.trials for tally in tallies]
+    allocation = [tally.batches for tally in tallies]
+    run.stats.trials = sum(trials)
+    run.finish({
+        "steps": steps_done,
+        "trials": sum(trials),
+        "allocation": allocation,
+    })
     return AdaptiveSweepResult(
-        results=results,
-        intervals=intervals,
-        allocation=list(batches),
+        results=[
+            GadgetMonteCarloResult(
+                p=p,
+                trials=tally.trials,
+                failures=tally.failures,
+                failures_by_fault_count=tally.failures_by_count,
+                fault_count_histogram=tally.histogram,
+            )
+            for p, tally in zip(p_values, tallies)
+        ],
+        intervals=[binomial_interval(tally.failures, tally.trials,
+                                     confidence, interval_method)
+                   for tally in tallies],
+        allocation=allocation,
         total_trials=sum(trials),
-        stats=stats,
+        stats=run.stats,
     )

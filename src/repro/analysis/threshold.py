@@ -18,14 +18,24 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Sequence, TYPE_CHECKING
 
+from repro.analysis.engine import (
+    DEFAULT_CHUNK_SIZE,
+    FaultPatternCache,
+    run_exhaustive,
+    run_malignant_pairs,
+)
+from repro.analysis.montecarlo import gadget_locations
 from repro.analysis.propagation import GadgetFaultAnalyzer, SingleFaultSurvey
+from repro.analysis.sequential import run_sequential_pair_sampling
 from repro.codes.quantum.css import CssCode
+from repro.exceptions import AnalysisError
 from repro.ft.gadget import Gadget
 from repro.noise.locations import FaultLocation, count_locations
+from repro.runtime.checkpoint import as_store
 from repro.simulators.sparse import SparseState
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.analysis.engine import EngineStats, FaultPatternCache
+    from repro.analysis.engine import EngineStats
     from repro.analysis.stats import BinomialInterval, ClaimVerdict
 
 
@@ -118,11 +128,10 @@ def sampled_threshold_report(gadget: Gadget,
                              locations: Optional[Sequence[FaultLocation]]
                              = None,
                              *,
-                             parallel: bool = False,
-                             workers: Optional[int] = None,
-                             chunk_size: Optional[int] = None,
-                             memoize: Optional[bool] = None,
-                             cache: Optional["FaultPatternCache"] = None,
+                             workers: int = 1,
+                             chunk_size: int = DEFAULT_CHUNK_SIZE,
+                             memoize: bool = True,
+                             cache: Optional[FaultPatternCache] = None,
                              checkpoint=None,
                              resume: bool = True,
                              runtime=None,
@@ -159,34 +168,21 @@ def sampled_threshold_report(gadget: Gadget,
     ``report.pair_interval`` always carries the malignant-fraction
     confidence interval.
     """
-    from repro.analysis import engine
-    from repro.analysis.montecarlo import _default_locations
-    from repro.runtime.checkpoint import as_store
-
     if locations is None:
-        locations = _default_locations(gadget)
+        locations = gadget_locations(gadget)
     locations = list(locations)
-    resolved_workers = engine.resolve_workers(parallel, workers)
-    resolved_chunk = chunk_size or engine.DEFAULT_CHUNK_SIZE
-    resolved_memoize = True if memoize is None else memoize
-    if cache is None and resolved_memoize:
-        cache = engine.FaultPatternCache()
+    if cache is None and memoize:
+        cache = FaultPatternCache()
     store = as_store(checkpoint)
-    survey = engine.run_exhaustive(
+    survey = run_exhaustive(
         gadget, initial_state, evaluator, locations=locations,
-        channel=channel, workers=resolved_workers,
-        chunk_size=resolved_chunk, memoize=resolved_memoize,
-        cache=cache,
+        channel=channel, workers=workers, chunk_size=chunk_size,
+        memoize=memoize, cache=cache,
         checkpoint=store.substore("exhaustive") if store else None,
         resume=resume, runtime=runtime,
     )
     threshold_verdict = None
     if certify_threshold_at is not None:
-        from repro.analysis.sequential import (
-            run_sequential_pair_sampling,
-        )
-        from repro.exceptions import AnalysisError
-
         pairs = len(locations) * (len(locations) - 1) // 2
         if certify_threshold_at <= 0 or pairs == 0:
             raise AnalysisError(
@@ -210,23 +206,22 @@ def sampled_threshold_report(gadget: Gadget,
             gadget, initial_state, evaluator,
             f0=f0, f1=f1, alpha=alpha, beta=beta,
             max_samples=samples, seed=seed,
-            batch_size=resolved_chunk, method=sequential_method,
+            chunk_size=chunk_size, method=sequential_method,
             claim=(f"{gadget.name} p_th >= {certify_threshold_at:g} "
                    f"(malignant_fraction <= {f0:g})"),
             locations=locations, channel=channel,
-            workers=resolved_workers, memoize=resolved_memoize,
-            cache=cache,
+            workers=workers, memoize=memoize, cache=cache,
             checkpoint=store.substore("pairs") if store else None,
             resume=resume, runtime=runtime,
         )
         pair_sample = sequential.sample
         threshold_verdict = sequential.verdict
     else:
-        pair_sample = engine.run_malignant_pairs(
+        pair_sample = run_malignant_pairs(
             gadget, initial_state, evaluator, samples,
             locations=locations, seed=seed, channel=channel,
-            workers=resolved_workers, chunk_size=resolved_chunk,
-            memoize=resolved_memoize, cache=cache,
+            workers=workers, chunk_size=chunk_size,
+            memoize=memoize, cache=cache,
             checkpoint=store.substore("pairs") if store else None,
             resume=resume, runtime=runtime,
         )

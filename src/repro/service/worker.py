@@ -210,7 +210,9 @@ def _execute_sequential(ctx: ExecutionContext
         beta=float(params.get("beta", 0.05)),
         max_trials=int(params["max_trials"]),
         seed=int(params["seed"]),
-        batch_size=int(params.get("batch_size", 64)),
+        # The job param keeps its historical name so content
+        # addresses and cache keys do not move.
+        chunk_size=int(params.get("batch_size", 64)),
         method=str(params.get("method", "sprt")),
         checkpoint=ctx.store, resume=True, on_batch=on_batch,
         runtime=resolve_policy(ctx.runtime, params))

@@ -19,13 +19,13 @@ from repro.analysis import (
     canonical_pattern,
     evaluate_fault_pattern,
     exhaustive_single_faults_sparse,
+    gadget_locations,
     gadget_monte_carlo,
     n_gadget_evaluator,
     sample_malignant_pairs,
     sampled_threshold_report,
     sweep_p,
 )
-from repro.analysis.montecarlo import _default_locations
 from repro.exceptions import AnalysisError
 from repro.ft import build_n_gadget, sparse_coset_state
 from repro.noise import NoiseModel
@@ -117,7 +117,7 @@ class TestSerialParallelEquivalence:
         model = NoiseModel.uniform(1.0)
         serial = [
             (location, pauli)
-            for location in _default_locations(gadget)
+            for location in gadget_locations(gadget)
             for pauli in model.fault_choices(location, gadget.num_qubits)
             if not evaluate_fault_pattern(
                 gadget, initial, evaluator,
@@ -158,7 +158,7 @@ class TestCacheCorrectness:
         model (not through the engine's own sampler)."""
         gadget, initial, evaluator = tiny
         noise = NoiseModel.uniform(0.5)
-        locations = _default_locations(gadget)
+        locations = gadget_locations(gadget)
         cache = FaultPatternCache()
         for _ in range(50):
             sampled = noise.sample_faults(gadget.circuit, rng,
@@ -319,7 +319,7 @@ class TestEngineValidation:
 
     def test_pair_sampling_needs_two_locations(self, tiny):
         gadget, initial, evaluator = tiny
-        locations = _default_locations(gadget)[:1]
+        locations = gadget_locations(gadget)[:1]
         with pytest.raises(AnalysisError):
             sample_malignant_pairs(gadget, initial, evaluator,
                                    samples=10, seed=0,
@@ -340,6 +340,6 @@ class TestSampledThresholdReport:
         assert report.malignant_pairs == \
             int(round(pair.estimated_malignant_pairs))
         assert report.location_counts["total"] == \
-            len(_default_locations(gadget))
+            len(gadget_locations(gadget))
         assert report.engine_stats is not None
         assert report.engine_stats.requests > 0

@@ -2,7 +2,7 @@
 
 The determinism contract under test: a sequential run's samples are a
 bit-identical *prefix* of the fixed-budget run at the same
-``(seed, batch_size)`` — the stopping rule changes how many trials are
+``(seed, chunk_size)`` — the stopping rule changes how many trials are
 drawn, never which ones — and the adaptive sweep's allocation schedule
 is a pure function of accumulated counts, hence reproducible for any
 worker count.
@@ -42,7 +42,7 @@ class TestSequentialMonteCarlo:
         outcome = run_sequential_monte_carlo(
             gadget, initial, evaluator, NoiseModel.uniform(0.05),
             p0=0.01, p1=0.05, max_trials=8000, seed=99,
-            batch_size=128)
+            chunk_size=128)
         assert outcome.decision == REJECT
         assert outcome.verdict.stopped_early
         assert outcome.result.trials < 8000
@@ -58,7 +58,7 @@ class TestSequentialMonteCarlo:
         outcome = run_sequential_monte_carlo(
             gadget, initial, evaluator, NoiseModel.uniform(0.001),
             p0=0.01, p1=0.05, max_trials=8000, seed=7,
-            batch_size=128)
+            chunk_size=128)
         assert outcome.decision == ACCEPT
         assert outcome.verdict.stopped_early
         assert outcome.verdict.trials_saved > 0
@@ -68,18 +68,19 @@ class TestSequentialMonteCarlo:
         consumed sequentially == the fixed run's first chunks."""
         gadget, initial, evaluator = tiny
         noise = NoiseModel.uniform(0.05)
-        outcome = run_sequential_monte_carlo(
-            gadget, initial, evaluator, noise,
-            p0=0.01, p1=0.05, max_trials=8000, seed=99,
-            batch_size=128)
-        fixed = gadget_monte_carlo(
-            gadget, initial, evaluator, noise,
-            trials=outcome.result.trials, seed=99, chunk_size=128)
-        assert outcome.result.failures == fixed.failures
-        assert outcome.result.fault_count_histogram == \
-            fixed.fault_count_histogram
-        assert outcome.result.failures_by_fault_count == \
-            fixed.failures_by_fault_count
+        for batch_size in (1, 64):
+            outcome = run_sequential_monte_carlo(
+                gadget, initial, evaluator, noise,
+                p0=0.01, p1=0.05, max_trials=8000, seed=99,
+                chunk_size=128, batch_size=batch_size)
+            fixed = gadget_monte_carlo(
+                gadget, initial, evaluator, noise,
+                trials=outcome.result.trials, seed=99, chunk_size=128)
+            assert outcome.result.failures == fixed.failures
+            assert outcome.result.fault_count_histogram == \
+                fixed.fault_count_histogram
+            assert outcome.result.failures_by_fault_count == \
+                fixed.failures_by_fault_count
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_worker_count_invariance(self, tiny, workers):
@@ -87,7 +88,7 @@ class TestSequentialMonteCarlo:
         outcome = run_sequential_monte_carlo(
             gadget, initial, evaluator, NoiseModel.uniform(0.05),
             p0=0.01, p1=0.05, max_trials=4000, seed=99,
-            batch_size=128, workers=workers)
+            chunk_size=128, workers=workers)
         # Pinned against the workers=1 run: identical verdict and
         # counts regardless of parallelism.
         assert outcome.decision == REJECT
@@ -101,7 +102,7 @@ class TestSequentialMonteCarlo:
         outcome = run_sequential_monte_carlo(
             gadget, initial, evaluator, NoiseModel.uniform(0.05),
             p0=0.055, p1=0.075, max_trials=128, seed=99,
-            batch_size=128)
+            chunk_size=128)
         assert outcome.decision == UNDECIDED
         assert outcome.result.trials == 128
         assert not outcome.verdict.stopped_early
@@ -111,7 +112,7 @@ class TestSequentialMonteCarlo:
         outcome = run_sequential_monte_carlo(
             gadget, initial, evaluator, NoiseModel.uniform(0.05),
             p0=0.005, p1=0.03, max_trials=4000, seed=99,
-            batch_size=128, method="confidence-sequence")
+            chunk_size=128, method="confidence-sequence")
         assert outcome.decision == REJECT
         assert outcome.verdict.method == "confidence-sequence"
 
@@ -151,7 +152,7 @@ class TestSequentialPairSampling:
         outcome = run_sequential_pair_sampling(
             gadget, initial, evaluator,
             f0=0.2, f1=0.6, max_samples=2000, seed=17,
-            batch_size=128)
+            chunk_size=128)
         # The trivial N gadget's pair fraction is large, so the claim
         # "fraction <= 0.2" is rejected within the first batches.
         assert outcome.decision == REJECT
@@ -209,7 +210,7 @@ class TestAdaptiveSweep:
         gadget, initial, evaluator = tiny
         sweep = adaptive_sweep_p(
             gadget, initial, evaluator, [0.01, 0.05, 0.2],
-            total_trials=12 * 128, seed=5, batch_size=128)
+            total_trials=12 * 128, seed=5, chunk_size=128)
         # Pinned deterministic schedule: every point gets its minimum
         # batch, the rest flow to the widest (noisiest) intervals.
         assert sweep.allocation == [1, 3, 8]
@@ -225,10 +226,10 @@ class TestAdaptiveSweep:
         gadget, initial, evaluator = tiny
         first = adaptive_sweep_p(
             gadget, initial, evaluator, [0.01, 0.05, 0.2],
-            total_trials=12 * 128, seed=5, batch_size=128)
+            total_trials=12 * 128, seed=5, chunk_size=128)
         again = adaptive_sweep_p(
             gadget, initial, evaluator, [0.01, 0.05, 0.2],
-            total_trials=12 * 128, seed=5, batch_size=128, workers=2)
+            total_trials=12 * 128, seed=5, chunk_size=128, workers=2)
         assert again.allocation == first.allocation
         assert again.results == first.results
 
@@ -238,7 +239,7 @@ class TestAdaptiveSweep:
         gadget, initial, evaluator = tiny
         sweep = adaptive_sweep_p(
             gadget, initial, evaluator, [0.01, 0.05, 0.2],
-            total_trials=12 * 128, seed=5, batch_size=128)
+            total_trials=12 * 128, seed=5, chunk_size=128)
         for index, result in enumerate(sweep.results):
             fixed = gadget_monte_carlo(
                 gadget, initial, evaluator,
@@ -259,10 +260,10 @@ class TestAdaptiveSweep:
         with pytest.raises(AnalysisError):
             # Budget below one batch per point.
             adaptive_sweep_p(gadget, initial, evaluator, [0.01, 0.05],
-                             total_trials=128, seed=1, batch_size=128)
+                             total_trials=128, seed=1, chunk_size=128)
         with pytest.raises(AnalysisError):
             adaptive_sweep_p(gadget, initial, evaluator, [0.01],
-                             total_trials=256, seed=1, batch_size=128,
+                             total_trials=256, seed=1, chunk_size=128,
                              min_batches_per_point=0)
 
 

@@ -21,8 +21,9 @@ from repro.analysis import (
     structured_model_family,
 )
 from repro.analysis.stress import DEGRADE, FAIL, PASS
-from repro.codes import TrivialCode
+from repro.codes import SteaneCode, TrivialCode
 from repro.exceptions import AnalysisError
+from repro.ft.gadget import apply_circuit_with_faults
 
 
 class TestBurstBreakPoint:
@@ -83,6 +84,16 @@ class TestStressCertify:
         cases = gadget_cases(TrivialCode())
         assert [c.name.split("[")[0] for c in cases] \
             == ["N", "T", "Toffoli", "recovery"]
+
+    @pytest.mark.parametrize("gadget", ["n", "t", "toffoli", "recovery"])
+    def test_fault_free_run_scores_true(self, gadget):
+        """Each case's evaluator accepts its gadget's own fault-free
+        output; a case scoring the wrong registers fails here."""
+        (case,) = gadget_cases(SteaneCode(), (gadget,))
+        circuit_gadget, initial, evaluator = case.factory()
+        state = initial.copy()
+        apply_circuit_with_faults(state, circuit_gadget.circuit, [])
+        assert evaluator(state), case.name
 
 
 class TestStressReport:

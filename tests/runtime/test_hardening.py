@@ -16,7 +16,6 @@ from repro.analysis import n_gadget_evaluator
 from repro.analysis.engine import (
     EngineStats,
     FaultPatternCache,
-    resolve_workers,
     run_monte_carlo,
 )
 from repro.exceptions import AnalysisError
@@ -132,13 +131,6 @@ class TestInputValidation:
             run_monte_carlo(gadget, initial, evaluator, noise,
                             trials=10, seed=0, workers=1,
                             chunk_size=bad)
-
-    def test_resolve_workers_contract(self):
-        assert resolve_workers(False, None) == 1
-        assert resolve_workers(False, 4) == 4
-        assert resolve_workers(True, None) >= 1
-        with pytest.raises(AnalysisError, match="workers"):
-            resolve_workers(True, 0)
 
 
 class TestEngineStatsEdges:

@@ -51,7 +51,7 @@ class _InterruptAfter:
 
 # Parameters chosen so the uninterrupted run needs several batches
 # before the SPRT decides (rate ~0.0625 against p0=0.05, p1=0.09).
-_SEQ_KWARGS = dict(p0=0.05, p1=0.09, max_trials=6000, batch_size=64)
+_SEQ_KWARGS = dict(p0=0.05, p1=0.09, max_trials=6000, chunk_size=64)
 
 
 class TestSequentialMonteCarloResume:
@@ -127,7 +127,7 @@ class TestSequentialMonteCarloResume:
             run_sequential_monte_carlo(
                 gadget, initial, evaluator, noise, seed=2025,
                 checkpoint=store, p0=0.01, p1=0.09,
-                max_trials=6000, batch_size=64)
+                max_trials=6000, chunk_size=64)
 
     def test_garbled_batch_journal_is_refused(self, tiny, tmp_path):
         gadget, initial, evaluator = tiny
@@ -146,7 +146,7 @@ class TestSequentialMonteCarloResume:
 class TestBatchedSequentialResume:
     """The vectorised evaluation path under the same kill/resume
     contract: batched runs must journal, die and resume exactly like
-    one-pattern-at-a-time (``eval_batch_size=1``) ones — and a journal
+    one-pattern-at-a-time (``batch_size=1``) ones — and a journal
     resumes under any batch size."""
 
     def test_batched_run_equals_serial_run(self, tiny):
@@ -154,43 +154,33 @@ class TestBatchedSequentialResume:
         noise = NoiseModel.uniform(0.05)
         serial = run_sequential_monte_carlo(
             gadget, initial, evaluator, noise, seed=2025,
-            eval_batch_size=1, **_SEQ_KWARGS)
-        for eval_batch_size in (7, 64):
+            batch_size=1, **_SEQ_KWARGS)
+        for batch_size in (7, 64):
             batched = run_sequential_monte_carlo(
                 gadget, initial, evaluator, noise, seed=2025,
-                eval_batch_size=eval_batch_size, **_SEQ_KWARGS)
+                batch_size=batch_size, **_SEQ_KWARGS)
             assert batched.verdict == serial.verdict
             assert batched.result == serial.result
             assert batched.batches == serial.batches
 
-    def test_prefetch_changes_nothing(self, tiny):
-        gadget, initial, evaluator = tiny
-        noise = NoiseModel.uniform(0.05)
-        plain = run_sequential_monte_carlo(
-            gadget, initial, evaluator, noise, seed=2025,
-            eval_batch_size=16, **_SEQ_KWARGS)
-        prefetched = run_sequential_monte_carlo(
-            gadget, initial, evaluator, noise, seed=2025,
-            eval_batch_size=16, prefetch=True, **_SEQ_KWARGS)
-        assert prefetched.verdict == plain.verdict
-        assert prefetched.result == plain.result
-        assert prefetched.batches == plain.batches
-
     def test_sequential_batched_is_prefix_of_fixed_budget(self, tiny):
-        """The stopped batched run consumed a bit-identical prefix of
-        the fixed-budget batched engine run at the same seed."""
+        """The stopped run consumed a bit-identical prefix of the
+        fixed-budget engine run at the same ``(seed, chunk_size)``, at
+        the per-pattern and at the stacked lane width alike."""
         from repro.analysis.engine import run_monte_carlo
 
         gadget, initial, evaluator = tiny
         noise = NoiseModel.uniform(0.05)
-        sequential = run_sequential_monte_carlo(
-            gadget, initial, evaluator, noise, seed=2025,
-            eval_batch_size=32, **_SEQ_KWARGS)
-        fixed = run_monte_carlo(
-            gadget, initial, evaluator, noise,
-            trials=sequential.result.trials, seed=2025,
-            chunk_size=_SEQ_KWARGS["batch_size"], batch_size=32)
-        assert fixed == sequential.result
+        for batch_size in (1, 64):
+            sequential = run_sequential_monte_carlo(
+                gadget, initial, evaluator, noise, seed=2025,
+                batch_size=batch_size, **_SEQ_KWARGS)
+            fixed = run_monte_carlo(
+                gadget, initial, evaluator, noise,
+                trials=sequential.result.trials, seed=2025,
+                chunk_size=_SEQ_KWARGS["chunk_size"],
+                batch_size=batch_size)
+            assert fixed == sequential.result
 
     def test_killed_batched_run_resumes_bit_identically(self, tiny,
                                                         tmp_path):
@@ -198,17 +188,17 @@ class TestBatchedSequentialResume:
         noise = NoiseModel.uniform(0.05)
         serial = run_sequential_monte_carlo(
             gadget, initial, evaluator, noise, seed=2025,
-            eval_batch_size=1, **_SEQ_KWARGS)
+            batch_size=1, **_SEQ_KWARGS)
         store = CheckpointStore(str(tmp_path / "batched"))
         with pytest.raises(KeyboardInterrupt):
             run_sequential_monte_carlo(
                 gadget, initial, evaluator, noise, seed=2025,
-                eval_batch_size=32, checkpoint=store,
+                batch_size=32, checkpoint=store,
                 progress=_InterruptAfter(2), **_SEQ_KWARGS)
         assert store.load_state("cursor")["interrupted"] is True
         resumed = run_sequential_monte_carlo(
             gadget, initial, evaluator, noise, seed=2025,
-            eval_batch_size=32, checkpoint=store, **_SEQ_KWARGS)
+            batch_size=32, checkpoint=store, **_SEQ_KWARGS)
         # The resumed batched run equals the never-killed *serial*
         # run: same verdicts, same decision, same journaled stream.
         assert resumed.verdict == serial.verdict
@@ -218,24 +208,24 @@ class TestBatchedSequentialResume:
 
     def test_cross_batch_size_resume(self, tiny, tmp_path):
         """The batch size is not part of the fingerprint: a run killed
-        at one ``eval_batch_size`` finishes at another, bit-identical
+        at one ``batch_size`` finishes at another, bit-identical
         to a run that never died — in both directions."""
         gadget, initial, evaluator = tiny
         noise = NoiseModel.uniform(0.05)
         for killed_at, resumed_at in ((1, 32), (32, 1)):
             baseline = run_sequential_monte_carlo(
                 gadget, initial, evaluator, noise, seed=2025,
-                eval_batch_size=killed_at, **_SEQ_KWARGS)
+                batch_size=killed_at, **_SEQ_KWARGS)
             store = CheckpointStore(str(tmp_path / f"from-{killed_at}"))
             with pytest.raises(KeyboardInterrupt):
                 run_sequential_monte_carlo(
                     gadget, initial, evaluator, noise, seed=2025,
-                    eval_batch_size=killed_at, checkpoint=store,
+                    batch_size=killed_at, checkpoint=store,
                     progress=_InterruptAfter(2), **_SEQ_KWARGS)
             assert store.load_state("cursor")["interrupted"] is True
             resumed = run_sequential_monte_carlo(
                 gadget, initial, evaluator, noise, seed=2025,
-                eval_batch_size=resumed_at, checkpoint=store,
+                batch_size=resumed_at, checkpoint=store,
                 **_SEQ_KWARGS)
             assert resumed.verdict == baseline.verdict
             assert resumed.result == baseline.result
@@ -246,12 +236,11 @@ class TestBatchedSequentialResume:
     def test_batched_pair_run_equals_serial(self, tiny):
         gadget, initial, evaluator = tiny
         kwargs = dict(f0=0.7, f1=0.8, max_samples=1500, seed=31,
-                      batch_size=64)
+                      chunk_size=64)
         serial = run_sequential_pair_sampling(
-            gadget, initial, evaluator, eval_batch_size=1, **kwargs)
+            gadget, initial, evaluator, batch_size=1, **kwargs)
         batched = run_sequential_pair_sampling(
-            gadget, initial, evaluator, eval_batch_size=16,
-            prefetch=True, **kwargs)
+            gadget, initial, evaluator, batch_size=16, **kwargs)
         assert batched.verdict == serial.verdict
         assert batched.sample == serial.sample
         assert batched.batches == serial.batches
@@ -259,11 +248,11 @@ class TestBatchedSequentialResume:
     def test_batched_adaptive_sweep_equals_serial(self, tiny):
         gadget, initial, evaluator = tiny
         kwargs = dict(p_values=[0.01, 0.05, 0.2],
-                      total_trials=12 * 128, seed=5, batch_size=128)
+                      total_trials=12 * 128, seed=5, chunk_size=128)
         serial = adaptive_sweep_p(gadget, initial, evaluator,
-                                  eval_batch_size=1, **kwargs)
+                                  batch_size=1, **kwargs)
         batched = adaptive_sweep_p(gadget, initial, evaluator,
-                                   eval_batch_size=32, **kwargs)
+                                   batch_size=32, **kwargs)
         assert batched.allocation == serial.allocation
         assert batched.results == serial.results
         assert batched.intervals == serial.intervals
@@ -274,7 +263,7 @@ class TestSequentialPairResume:
                                                      tmp_path):
         gadget, initial, evaluator = tiny
         kwargs = dict(f0=0.7, f1=0.8, max_samples=1500, seed=31,
-                      batch_size=64)
+                      chunk_size=64)
         baseline = run_sequential_pair_sampling(
             gadget, initial, evaluator, **kwargs)
         assert baseline.batches > 2
@@ -293,7 +282,7 @@ class TestSequentialPairResume:
 
 class TestAdaptiveSweepResume:
     _SWEEP = dict(p_values=[0.01, 0.05, 0.2], total_trials=12 * 128,
-                  seed=5, batch_size=128)
+                  seed=5, chunk_size=128)
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_killed_sweep_resumes_identically(self, tiny, tmp_path,
@@ -331,4 +320,4 @@ class TestAdaptiveSweepResume:
         with pytest.raises(CheckpointError, match="different run"):
             adaptive_sweep_p(gadget, initial, evaluator,
                              p_values=[0.01, 0.05], total_trials=1536,
-                             seed=5, batch_size=128, checkpoint=store)
+                             seed=5, chunk_size=128, checkpoint=store)

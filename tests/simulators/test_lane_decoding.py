@@ -14,9 +14,12 @@ predicate that raises) must surface the same way.
 import numpy as np
 import pytest
 
-from repro.analysis import classical_block_value_evaluator, n_gadget_evaluator
+from repro.analysis import (
+    classical_block_value_evaluator,
+    gadget_locations,
+    n_gadget_evaluator,
+)
 from repro.analysis.engine import _location_setup, canonical_pattern, sample_pair_chunk
-from repro.analysis.montecarlo import _default_locations
 from repro.codes import SteaneCode
 from repro.exceptions import AnalysisError, FaultToleranceError, SimulationError
 from repro.ft import build_n_gadget, sparse_coset_state
@@ -75,14 +78,14 @@ def survey_patterns(gadget):
     model = NoiseModel.uniform(1.0)
     patterns = {
         canonical_pattern([(pauli, location.after_op)])
-        for location in _default_locations(gadget)
+        for location in gadget_locations(gadget)
         for pauli in model.fault_choices(location, gadget.num_qubits)
     }
     return sorted(patterns, key=repr)
 
 
 def pair_patterns(gadget, seed):
-    locations = _default_locations(gadget)
+    locations = gadget_locations(gadget)
     _, choices, after_ops = _location_setup(None, gadget, locations)
     counts = {}
     sample_pair_chunk(choices, after_ops, len(locations),

@@ -14,9 +14,8 @@ the same way, and ``invariant`` runs must keep the extract path.
 import numpy as np
 import pytest
 
-from repro.analysis import recovered_overlap_evaluator
+from repro.analysis import gadget_locations, recovered_overlap_evaluator
 from repro.analysis.engine import _location_setup, canonical_pattern, sample_pair_chunk
-from repro.analysis.montecarlo import _default_locations
 from repro.analysis.stress import gadget_cases
 from repro.circuits import gates
 from repro.codes import SteaneCode, TrivialCode
@@ -53,14 +52,14 @@ def survey_patterns(gadget, stride=1):
     model = NoiseModel.uniform(1.0)
     patterns = {
         canonical_pattern([(pauli, location.after_op)])
-        for location in _default_locations(gadget)[::stride]
+        for location in gadget_locations(gadget)[::stride]
         for pauli in model.fault_choices(location, gadget.num_qubits)
     }
     return sorted(patterns, key=repr)
 
 
 def pair_patterns(gadget, seed, samples):
-    locations = _default_locations(gadget)
+    locations = gadget_locations(gadget)
     _, choices, after_ops = _location_setup(None, gadget, locations)
     counts = {}
     sample_pair_chunk(choices, after_ops, len(locations),
